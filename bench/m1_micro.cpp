@@ -1,8 +1,9 @@
 // M1 — microbenchmarks of the substrate itself (google-benchmark).
 //
 // Not a paper result; these keep the simulator honest as an artifact: step
-// rate of the kernel, channel op costs, protocol step costs, ranking, and
-// the throughput of the two analysis engines (exploration, mirror attack).
+// rate of the kernel, channel op costs, protocol step costs, ranking, the
+// throughput of the two analysis engines (exploration, mirror attack), and
+// the per-record serialization cost of a durable mux checkpoint flush.
 #include <benchmark/benchmark.h>
 
 #include "channel/del_channel.hpp"
@@ -10,11 +11,13 @@
 #include "channel/schedulers.hpp"
 #include "common.hpp"
 #include "knowledge/explorer.hpp"
+#include "proto/session_adapter.hpp"
 #include "proto/suite.hpp"
 #include "seq/repetition_free.hpp"
 #include "sim/engine.hpp"
 #include "spec/temporal.hpp"
 #include "stp/attack.hpp"
+#include "store/session_log.hpp"
 
 namespace {
 
@@ -183,5 +186,51 @@ void BM_MirrorAttack(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MirrorAttack);
+
+/// A Stenning receiver adapter three items into a six-item input (domain
+/// 8): the state a durable-10k server session checkpoints mid-run.
+std::unique_ptr<proto::ReceiverSessionEndpoint> mid_sequence_receiver() {
+  constexpr int kDomain = 8;
+  seq::Sequence x;
+  for (int i = 0; i < 6; ++i) x.push_back(i % kDomain);
+  auto pair = proto::make_stenning(kDomain);
+  auto ep = std::make_unique<proto::ReceiverSessionEndpoint>(
+      std::move(pair.receiver), x);
+  for (int i = 0; i < 3; ++i) {
+    ep->on_deliver(static_cast<sim::MsgId>(i) * kDomain + x[i]);
+    (void)ep->step();
+  }
+  return ep;
+}
+
+// SessionMux::flush_shard per manifest record = one save_state() of the
+// session's endpoint + one SessionManifest::to_payload().
+void BM_AdapterSaveState(benchmark::State& state) {
+  const auto ep = mid_sequence_receiver();
+  for (auto _ : state) {
+    const std::string blob = ep->save_state();
+    benchmark::DoNotOptimize(blob.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_AdapterSaveState);
+
+void BM_ManifestToPayload(benchmark::State& state) {
+  const auto ep = mid_sequence_receiver();
+  store::SessionManifest m;
+  m.session = 4242;
+  m.epoch = 2;
+  m.seq = 123456;
+  m.proto_tag = store::proto_tag_of(ep->name());
+  m.position = ep->items_done();
+  m.owner = 1;
+  m.endpoint_state = ep->save_state();
+  for (auto _ : state) {
+    const std::string payload = m.to_payload();
+    benchmark::DoNotOptimize(payload.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ManifestToPayload);
 
 }  // namespace

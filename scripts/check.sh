@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# One-command verification: the tier-1 build + test gate, then the same
-# suite under ASan+UBSan (STPX_SANITIZE=ON) and the wire-layer, durable-mux,
-# trace, and fabric suites under TSan (STPX_SANITIZE_THREAD=ON), each in a
-# separate build tree.
+# One-command verification: the tier-1 build + test gate, the tests of the
+# perfbench/ benchmark's own machinery, then the same suite under ASan+UBSan
+# (STPX_SANITIZE=ON) and the wire-layer, durable-mux, trace, and fabric
+# suites under TSan (STPX_SANITIZE_THREAD=ON), each in a separate build tree.
 #
 #   scripts/check.sh                  # every stage
 #   scripts/check.sh --fast           # everything except the sanitizer stages
@@ -22,7 +22,7 @@ cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 4)"
 TEST_TIMEOUT=300  # seconds per test
 
-STAGES=(tier1 bench recovery stabilization net durable-mux trace fabric asan tsan)
+STAGES=(tier1 bench recovery stabilization net durable-mux trace fabric perfbench asan tsan)
 
 ensure_build() {
   cmake -B build -S . >/dev/null
@@ -80,6 +80,13 @@ stage_fabric() {
   ./build/bench/validate_bench_json BENCH_r7_fabric.json
 }
 
+stage_perfbench() {
+  echo "== perfbench: the benchmark package's own tests (build/perfbench/) =="
+  cmake -B build/perfbench -S perfbench -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build build/perfbench -j "${JOBS}" --target perfbench_tests
+  ctest --test-dir build/perfbench --output-on-failure --timeout "${TEST_TIMEOUT}"
+}
+
 stage_asan() {
   echo "== sanitizers: ASan+UBSan configure + build + ctest (build/asan/) =="
   cmake -B build/asan -S . -DSTPX_SANITIZE=ON >/dev/null
@@ -106,6 +113,7 @@ run_stage() {
     durable-mux)   stage_durable_mux ;;
     trace)         stage_trace ;;
     fabric)        stage_fabric ;;
+    perfbench)     stage_perfbench ;;
     asan)          stage_asan ;;
     tsan)          stage_tsan ;;
     *)
@@ -122,8 +130,12 @@ case "${1:-}" in
     ;;
   --stage)
     [[ $# -ge 2 ]] || { echo "check.sh: --stage needs a name (try --list)" >&2; exit 2; }
-    # A single stage still needs binaries; tier1 builds its own.
-    [[ "$2" == "tier1" || "$2" == "asan" || "$2" == "tsan" ]] || ensure_build
+    # A single stage still needs binaries; tier1 and the stages with a
+    # build tree of their own build what they run.
+    case "$2" in
+      tier1|perfbench|asan|tsan) ;;
+      *) ensure_build ;;
+    esac
     run_stage "$2"
     echo "== check.sh: stage $2 PASS =="
     exit 0

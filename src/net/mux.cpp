@@ -52,22 +52,34 @@ void SessionMux::add_session(
   STPX_EXPECT(endpoint != nullptr, "SessionMux: null endpoint");
   STPX_EXPECT(id != kFabricSession,
               "SessionMux: kFabricSession is reserved for probes");
-  for (const auto& [known, idx] : index_) {
-    (void)idx;
-    STPX_EXPECT(known != id, "SessionMux: duplicate session id");
+  // index_ stays id-sorted: ascending registration appends, anything
+  // else binary-searches its slot (10k sessions must not cost O(n^2)).
+  auto at = index_.cend();
+  if (!index_.empty() && id <= index_.back().first) {
+    at = index_at(id);
+    STPX_EXPECT(at->first != id, "SessionMux: duplicate session id");
   }
   auto s = std::make_unique<Session>();
   s->id = id;
   s->is_sender = is_sender;
+  if (durable()) s->proto_tag = store::proto_tag_of(endpoint->name());
   s->endpoint = std::move(endpoint);
-  index_.emplace_back(id, sessions_.size());
+  index_.emplace(at, id, sessions_.size());
   sessions_.push_back(std::move(s));
+}
+
+std::vector<SessionMux::IndexEntry>::const_iterator SessionMux::index_at(
+    std::uint32_t id) const {
+  return std::lower_bound(
+      index_.begin(), index_.end(), id,
+      [](const IndexEntry& entry, std::uint32_t key) {
+        return entry.first < key;
+      });
 }
 
 void SessionMux::start() {
   STPX_EXPECT(!started_, "SessionMux: start called twice");
   started_ = true;
-  std::sort(index_.begin(), index_.end());
   const std::size_t shard_count =
       std::max<std::size_t>(1, std::min(cfg_.workers, std::max<std::size_t>(
                                                           1, sessions_.size())));
@@ -155,12 +167,8 @@ RehydrateReport SessionMux::rehydrate(
   rep.records_scanned = scan.records_scanned;
   rep.records_skipped = scan.records_skipped;
   for (const auto& [id, m] : scan.newest) {
-    bool hosted = false;
-    for (const auto& [known, idx] : index_) {
-      (void)idx;
-      hosted = hosted || known == id;
-    }
-    if (hosted) {
+    const auto at = index_at(id);
+    if (at != index_.end() && at->first == id) {
       // The id is already live here (e.g. a handoff log that still names
       // a session this mux also manifests): the resident session wins.
       ++rep.collisions;
@@ -251,9 +259,7 @@ void SessionMux::answer_probe(const Frame& probe) {
 }
 
 void SessionMux::route(const Frame& f) {
-  const auto it = std::lower_bound(
-      index_.begin(), index_.end(), f.session,
-      [](const auto& entry, std::uint32_t id) { return entry.first < id; });
+  const auto it = index_at(f.session);
   if (it == index_.end() || it->first != f.session) {
     n_.frames_unknown.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -505,24 +511,30 @@ void SessionMux::flush_shard(Shard& shard, bool force) {
     Session& s = *sessions_[idx];
     if (!s.dirty && !force) continue;
     s.dirty = false;
+    const std::size_t position = s.endpoint->items_done();
+    const bool completed = s.state == SessionState::kCompleted;
+    std::string state = s.endpoint->save_state();
+    // Nothing moved since the last record (see Session::recorded): no
+    // record, so keepalive-only sweeps cost no log growth.
+    if (s.recorded && position == s.recorded_position &&
+        completed == s.recorded_completed && state == s.recorded_state) {
+      continue;
+    }
     store::SessionManifest m;
     m.session = s.id;
     m.is_sender = s.is_sender;
     m.epoch = epoch_;
-    m.seq = 0;  // assigned below, only when the state actually moved
-    m.proto_tag = store::proto_tag_of(s.endpoint->name());
-    m.position = s.endpoint->items_done();
-    m.completed = s.state == SessionState::kCompleted;
-    m.owner = cfg_.backend_id;
-    m.endpoint_state = s.endpoint->save_state();
-    // With seq pinned to 0 the payload is a pure state signature:
-    // identical signature -> nothing moved -> no record (keepalive-only
-    // sweeps cost no log growth).
-    std::string sig = m.to_payload();
-    if (sig == s.last_sig) continue;
-    s.last_sig = std::move(sig);
     m.seq = ckpt_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+    m.proto_tag = s.proto_tag;
+    m.position = position;
+    m.completed = completed;
+    m.owner = cfg_.backend_id;
+    m.endpoint_state = std::move(state);
     std::string payload = m.to_payload();
+    s.recorded = true;
+    s.recorded_position = position;
+    s.recorded_completed = completed;
+    s.recorded_state = std::move(m.endpoint_state);
     batch_bytes += payload.size();
     batch.push_back(std::move(payload));
   }
@@ -543,7 +555,7 @@ void SessionMux::flush_shard(Shard& shard, bool force) {
     }
   }
   // Everything held is now covered by a durable record (this batch, or
-  // an earlier one when the signature never moved): release.
+  // an earlier one when the state never moved): release.
   for (const std::size_t idx : shard.members) {
     release_held(*sessions_[idx]);
   }

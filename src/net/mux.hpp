@@ -24,8 +24,9 @@
 //     `idle_eviction_sweeps` sweeps is evicted (dead peer) — terminal,
 //     like completion, but distinguishable in the verdict.
 //   * Durability (optional; docs/RECOVERY.md): give MuxConfig one or
-//     more IStableStore session logs and every session is checkpointed
-//     as a manifest record on a sweep cadence, group-committed per shard
+//     more IStableStore session logs and every session whose state moved
+//     is checkpointed as a manifest record on a sweep cadence (one record
+//     per move, none for keepalive-only sweeps), group-committed per shard
 //     (one append_batch per shard flush, so 10k sessions never mean 10k
 //     syncs).  Receiver-side outbound frames (cumulative acks, FINs) are
 //     HELD until the checkpoint covering the acked state is durable —
@@ -405,7 +406,15 @@ class SessionMux {
     std::size_t items_reported = 0;  // probe on_item high-water mark
     bool refin_pending = false;      // completed receiver saw a retransmit
     bool dirty = false;              // state may have moved since last flush
-    std::string last_sig;            // last checkpointed state signature
+    // The last manifest record flush_shard wrote for this session.  A
+    // record's other fields (id, direction, epoch, owner, proto tag) are
+    // fixed for the mux generation, so a dirty session whose position,
+    // completed flag and save_state() text all equal these is skipped.
+    bool recorded = false;           // a record exists in this generation
+    bool recorded_completed = false;
+    std::size_t recorded_position = 0;
+    std::string recorded_state;
+    std::uint64_t proto_tag = 0;  // proto_tag_of(endpoint name); durable only
     // Receiver frames gated on durability: held until the covering
     // checkpoint commits, released by flush_shard (bounded; overflow
     // drops the oldest — indistinguishable from wire loss).
@@ -456,8 +465,12 @@ class SessionMux {
   std::vector<std::unique_ptr<Session>> sessions_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<StoreSlot>> slots_;
-  // id -> sessions_ index; read-only after start().
-  std::vector<std::pair<std::uint32_t, std::size_t>> index_;
+  // (id, sessions_ index), kept sorted by id on insert; read-only after
+  // start().
+  using IndexEntry = std::pair<std::uint32_t, std::size_t>;
+  std::vector<IndexEntry> index_;
+  /// First index_ entry whose id is >= `id`.
+  std::vector<IndexEntry>::const_iterator index_at(std::uint32_t id) const;
   bool started_ = false;
   bool stopped_ = false;
   std::atomic<bool> flush_on_stop_{false};  // armed by drain()

@@ -24,8 +24,8 @@ namespace stpx::proto {
 
 inline void write_items(util::BlobWriter& w,
                         const std::vector<seq::DataItem>& v) {
-  std::vector<std::int64_t> tmp(v.begin(), v.end());
-  w.vec(tmp);
+  w.i64(static_cast<std::int64_t>(v.size()));
+  for (const seq::DataItem item : v) w.i64(item);
 }
 
 inline bool read_items(util::BlobReader& r, std::vector<seq::DataItem>& out) {

@@ -14,11 +14,6 @@ namespace {
 // versa).  The protocol blob nests inside as one length-prefixed vec.
 constexpr std::int64_t kSenderAdapterTag = 201;
 constexpr std::int64_t kReceiverAdapterTag = 202;
-
-std::vector<std::int64_t> nested_tokens(const std::string& blob) {
-  auto toks = util::blob_tokens(blob);
-  return toks ? std::move(*toks) : std::vector<std::int64_t>{};
-}
 }  // namespace
 
 SenderSessionEndpoint::SenderSessionEndpoint(
@@ -44,7 +39,7 @@ std::string SenderSessionEndpoint::save_state() const {
   util::BlobWriter w;
   w.i64(kSenderAdapterTag);
   w.boolean(finished_);
-  w.vec(nested_tokens(sender_->save_state()));
+  w.nested(sender_->save_state());
   return w.str();
 }
 
@@ -103,7 +98,7 @@ std::string ReceiverSessionEndpoint::save_state() const {
   w.i64(kReceiverAdapterTag);
   w.boolean(safety_ok_);
   write_items(w, y_);
-  w.vec(nested_tokens(receiver_->save_state()));
+  w.nested(receiver_->save_state());
   return w.str();
 }
 

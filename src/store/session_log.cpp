@@ -33,10 +33,10 @@ std::string SessionManifest::to_payload() const {
   w.u64(position);
   w.boolean(completed);
   w.u64(owner);
-  const auto inner = util::blob_tokens(endpoint_state);
-  // save_state() produces blob text by construction; treat anything else
-  // as an empty (cold-start) state rather than corrupting the record.
-  w.vec(inner ? *inner : std::vector<std::int64_t>{});
+  // save_state() produces blob text by construction; nested() treats
+  // anything else as an empty (cold-start) state rather than corrupting
+  // the record.
+  w.nested(endpoint_state);
   return w.str();
 }
 
@@ -47,14 +47,18 @@ std::optional<SessionManifest> SessionManifest::from_payload(
   SessionManifest m;
   std::uint64_t session = 0;
   std::uint64_t owner = 0;
+  // proto_tag is a full 64-bit hash that to_payload() writes through the
+  // signed i64 form, so half of all tags read back negative.
+  std::int64_t proto_tag = 0;
   std::vector<std::int64_t> inner;
   if (!r.i64(tag) || tag != kManifestTag || !r.u64(session) ||
       !r.boolean(m.is_sender) || !r.u64(m.epoch) || !r.u64(m.seq) ||
-      !r.u64(m.proto_tag) || !r.u64(m.position) || !r.boolean(m.completed) ||
+      !r.i64(proto_tag) || !r.u64(m.position) || !r.boolean(m.completed) ||
       !r.u64(owner) || !r.vec(inner) || !r.done() ||
       session > 0xFFFFFFFFULL || owner > 0xFFFFFFFFULL) {
     return std::nullopt;
   }
+  m.proto_tag = static_cast<std::uint64_t>(proto_tag);
   m.session = static_cast<std::uint32_t>(session);
   m.owner = static_cast<std::uint32_t>(owner);
   m.endpoint_state = util::blob_join(inner);

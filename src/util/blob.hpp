@@ -35,6 +35,13 @@ class BlobWriter {
   /// Length-prefixed run of values.
   void vec(const std::vector<std::int64_t>& vs);
 
+  /// Nest a whole inner blob as one length-prefixed run.  Writes exactly
+  /// what vec(blob_tokens(blob).value_or({})) writes: canonical BlobWriter
+  /// text (single spaces, every token in std::to_string form) is appended
+  /// verbatim after its token count; any other text takes the tokenize
+  /// path, and unparsable text nests as the empty run.
+  void nested(const std::string& blob);
+
   const std::string& str() const { return out_; }
 
  private:

@@ -25,12 +25,14 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "fault/plan.hpp"
+#include "net/frame.hpp"
 #include "net/loopback.hpp"
 #include "net/mux.hpp"
 #include "net/service.hpp"
@@ -39,6 +41,7 @@
 #include "proto/suite.hpp"
 #include "store/session_log.hpp"
 #include "store/stable_store.hpp"
+#include "util/blob.hpp"
 #include "util/expect.hpp"
 
 namespace stpx {
@@ -430,6 +433,94 @@ TEST(EndpointDurability, UnusableBlobColdStartsWithEmptyTape) {
   EXPECT_EQ(back.items_done(), 1u);
 }
 
+TEST(SessionManifest, GoldenPayloadBytes) {
+  // Pinned bytes: logs written by earlier builds must keep rehydrating, so
+  // neither the adapter blob nor the manifest record may drift by a byte.
+  const auto ep = driven_receiver(seq_for(3, 6), 4);
+  ASSERT_EQ(ep->name(), "stenning-receiver");
+  EXPECT_EQ(ep->save_state(), "202 1 4 3 4 5 6 3 102 4 0");
+  store::SessionManifest m;
+  m.session = 0xCAFE;
+  m.epoch = 3;
+  m.seq = 41;
+  m.proto_tag = store::proto_tag_of(ep->name());
+  m.position = ep->items_done();
+  m.owner = 2;
+  m.endpoint_state = ep->save_state();
+  EXPECT_EQ(m.to_payload(),
+            "7001 51966 0 3 41 3698354264939363239 4 0 2 11 "
+            "202 1 4 3 4 5 6 3 102 4 0");
+}
+
+/// A manifest round trip of `ep`'s state into a fresh endpoint built by
+/// `fresh`: the record carries the blob and the proto tag unchanged and
+/// the restore is warm.  Unless the protocol deliberately moves its state
+/// on restore, the restored endpoint saves the very same text.
+void expect_manifest_round_trip(const proto::ISessionEndpoint& ep,
+                                std::unique_ptr<proto::ISessionEndpoint> fresh,
+                                bool restore_moves_state,
+                                const std::string& what) {
+  store::SessionManifest m;
+  m.session = 9;
+  m.proto_tag = store::proto_tag_of(ep.name());
+  m.position = ep.items_done();
+  m.endpoint_state = ep.save_state();
+  const auto back = store::SessionManifest::from_payload(m.to_payload());
+  ASSERT_TRUE(back.has_value()) << what;
+  EXPECT_EQ(back->proto_tag, m.proto_tag) << what;
+  EXPECT_EQ(back->endpoint_state, m.endpoint_state) << what;
+  ASSERT_TRUE(fresh->restore_state(back->endpoint_state)) << what;
+  EXPECT_EQ(fresh->items_done(), ep.items_done()) << what;
+  if (!restore_moves_state) {
+    EXPECT_EQ(fresh->save_state(), m.endpoint_state) << what;
+  }
+}
+
+TEST(EndpointDurability, EverySuiteProtocolRoundTripsThroughAManifest) {
+  using Make = std::function<proto::ProtocolPair()>;
+  const std::vector<std::pair<std::string, Make>> suite = {
+      {"repfree-dup", [] { return proto::make_repfree_dup(kDomain); }},
+      {"repfree-del", [] { return proto::make_repfree_del(kDomain); }},
+      {"repfree-flood", [] { return proto::make_repfree_flood(kDomain); }},
+      {"abp", [] { return proto::make_abp(kDomain); }},
+      {"stenning", [] { return proto::make_stenning(kDomain); }},
+      {"modk-stenning", [] { return proto::make_modk_stenning(kDomain, 4); }},
+      {"go-back-n", [] { return proto::make_go_back_n(kDomain, 3); }},
+      {"selective-repeat",
+       [] { return proto::make_selective_repeat(kDomain, 3); }},
+      {"hybrid", [] { return proto::make_hybrid(kDomain, 4); }},
+      {"sync-stop-wait", [] { return proto::make_sync_stop_wait(kDomain); }},
+      {"block", [] { return proto::make_block(kDomain, 2, 16); }},
+      {"hardened", [] { return proto::make_hardened(kDomain); }},
+  };
+  // Repetition-free, so the α(m) protocols accept it too.
+  const auto x = seq_for(3, 6);
+  for (const auto& [name, make] : suite) {
+    auto pair = make();
+    proto::SenderSessionEndpoint tx(std::move(pair.sender), x);
+    proto::ReceiverSessionEndpoint rx(std::move(pair.receiver), x);
+    // A perfect lock-step exchange, stopped mid-sequence.
+    for (int round = 0; round < 200 && rx.items_done() < 3; ++round) {
+      if (const auto msg = tx.step()) rx.on_deliver(*msg);
+      if (const auto ack = rx.step()) tx.on_deliver(*ack);
+    }
+    ASSERT_GE(rx.items_done(), 1u) << name;
+    ASSERT_FALSE(rx.done()) << name;
+    auto fresh = make();
+    expect_manifest_round_trip(
+        tx,
+        std::make_unique<proto::SenderSessionEndpoint>(std::move(fresh.sender),
+                                                       x),
+        false, name + " sender");
+    // The hardened receiver announces every restart with a fresh epoch.
+    expect_manifest_round_trip(
+        rx,
+        std::make_unique<proto::ReceiverSessionEndpoint>(
+            std::move(fresh.receiver), x),
+        name == "hardened", name + " receiver");
+  }
+}
+
 // --------------------------------------------------------------------------
 // Rehydration harness
 // --------------------------------------------------------------------------
@@ -755,6 +846,159 @@ TEST(DurableMux, BareStopWithoutDrainLeavesACleanlyRehydratableLog) {
   EXPECT_EQ(rep.completed, kSessions);
   EXPECT_EQ(rep.violations, 0u);
   EXPECT_EQ(rep.records_skipped, 0u);
+}
+
+// --------------------------------------------------------------------------
+// The checkpoint rule: one record per state move, none for keepalives
+// --------------------------------------------------------------------------
+
+/// A receiver driven by hand: data id k is accepted only as item k, and
+/// step() acks with the item count whenever the count moved.
+class CountingReceiver final : public proto::ISessionEndpoint {
+ public:
+  explicit CountingReceiver(std::size_t len) : len_(len) {}
+
+  void on_deliver(sim::MsgId msg) override {
+    if (msg == static_cast<sim::MsgId>(count_)) ++count_;
+  }
+  std::optional<sim::MsgId> step() override {
+    if (count_ == acked_) return std::nullopt;
+    acked_ = count_;
+    return static_cast<sim::MsgId>(count_);
+  }
+  bool done() const override { return count_ == len_; }
+  bool safety_ok() const override { return true; }
+  std::size_t items_done() const override { return count_; }
+  std::string name() const override { return "counting-receiver"; }
+  std::string save_state() const override {
+    util::BlobWriter w;
+    w.u64(count_);
+    return w.str();
+  }
+
+ private:
+  std::size_t len_ = 0;
+  std::size_t count_ = 0;
+  std::size_t acked_ = 0;
+};
+
+/// Forwards to a wire endpoint and checks the write-ahead rule at every
+/// send: an ack of n needs a record at position >= n already in the log,
+/// a FIN a completed record.
+class CoverageCheckingTransport final : public net::ITransport {
+ public:
+  CoverageCheckingTransport(net::ITransport* inner, store::MemStore* log)
+      : inner_(inner), log_(log) {}
+
+  bool send(const std::vector<std::uint8_t>& bytes) override {
+    if (const auto f = net::decode(bytes)) {
+      std::uint64_t covered = 0;
+      bool completed = false;
+      for (const std::string& p : log_->replay().payloads) {
+        if (const auto m = store::SessionManifest::from_payload(p)) {
+          covered = std::max(covered, m->position);
+          completed = completed || m->completed;
+        }
+      }
+      const bool ok = f->kind == net::FrameKind::kFin
+                          ? completed
+                          : static_cast<std::uint64_t>(f->msg) <= covered;
+      if (!ok) ahead_ = true;
+    }
+    return inner_->send(bytes);
+  }
+  std::optional<std::vector<std::uint8_t>> poll() override {
+    return inner_->poll();
+  }
+  std::string name() const override { return "coverage-check"; }
+
+  bool released_ahead() const { return ahead_; }
+
+ private:
+  net::ITransport* inner_;
+  store::MemStore* log_;
+  std::atomic<bool> ahead_{false};
+};
+
+void send_item(net::ITransport& peer, std::uint32_t session,
+               std::size_t index) {
+  net::Frame f;
+  f.kind = net::FrameKind::kData;
+  f.dir = sim::Dir::kSenderToReceiver;
+  f.session = session;
+  f.msg = static_cast<sim::MsgId>(index);
+  peer.send(net::encode(f));
+}
+
+/// Poll `peer` until `n` frames of `kind` carrying `msg` have arrived.
+bool await_frames(net::ITransport& peer, net::FrameKind kind, std::size_t msg,
+                  std::size_t n) {
+  const auto deadline = std::chrono::steady_clock::now() + 20s;
+  std::size_t seen = 0;
+  while (std::chrono::steady_clock::now() < deadline) {
+    while (const auto bytes = peer.poll()) {
+      const auto f = net::decode(*bytes);
+      if (f && f->kind == kind && f->msg == static_cast<sim::MsgId>(msg) &&
+          ++seen == n) {
+        return true;
+      }
+    }
+    std::this_thread::sleep_for(100us);
+  }
+  return false;
+}
+
+TEST(DurableMuxCheckpoint, OneRecordPerStateMoveNoneForKeepalives) {
+  constexpr std::uint32_t kId = 5;
+  constexpr std::size_t kLen = 3;
+  store::MemStore st;
+  st.reset();
+  auto wire = net::make_loopback();
+  CoverageCheckingTransport server_side(wire.b.get(), &st);
+  net::MuxConfig cfg;
+  cfg.workers = 1;
+  cfg.sweep_interval = 200us;
+  cfg.keepalive_sweeps = 2;
+  cfg.session_stores = {&st};
+  net::SessionMux mux(&server_side, cfg);
+  mux.add_session(kId, std::make_unique<CountingReceiver>(kLen), false);
+  mux.start();
+  const auto records = [&] { return mux.stats().checkpoint_records; };
+  net::ITransport& peer = *wire.a;
+
+  for (std::size_t k = 0; k + 1 < kLen; ++k) {
+    // A state move writes exactly one record; its ack follows it out.
+    send_item(peer, kId, k);
+    ASSERT_TRUE(await_frames(peer, net::FrameKind::kData, k + 1, 1));
+    EXPECT_EQ(records(), k + 1);
+    // Retransmits of the same item mark the session dirty without moving
+    // its state, and keepalives re-send the released ack: no records.
+    for (int i = 0; i < 3; ++i) send_item(peer, kId, k);
+    ASSERT_TRUE(await_frames(peer, net::FrameKind::kData, k + 1, 6));
+    EXPECT_EQ(records(), k + 1);
+  }
+  // The last item moves the state and completes the session: one record.
+  send_item(peer, kId, kLen - 1);
+  ASSERT_TRUE(await_frames(peer, net::FrameKind::kFin, kLen, 1));
+  EXPECT_EQ(records(), kLen);
+  // A completed receiver re-FINs retransmits; re-FINs write nothing.
+  for (int i = 0; i < 3; ++i) {
+    send_item(peer, kId, kLen - 1);
+    ASSERT_TRUE(await_frames(peer, net::FrameKind::kFin, kLen, 1));
+  }
+  EXPECT_EQ(records(), kLen);
+  // Nor does the forced flush of a graceful stop.
+  EXPECT_TRUE(mux.drain(5s));
+  mux.stop();
+  EXPECT_EQ(records(), kLen);
+  EXPECT_FALSE(server_side.released_ahead());
+  const auto replayed = st.replay();  // compacted to the newest record
+  ASSERT_EQ(replayed.payloads.size(), 1u);
+  const auto m = store::SessionManifest::from_payload(replayed.payloads[0]);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->position, kLen);
+  EXPECT_TRUE(m->completed);
+  EXPECT_EQ(m->seq, kLen);
 }
 
 // --------------------------------------------------------------------------

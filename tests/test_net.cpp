@@ -567,6 +567,37 @@ TEST(NetMux, DuplicateSessionIdIsAContractError) {
                ContractError);
 }
 
+TEST(NetMux, OutOfOrderRegistrationRoutesAndCatchesDuplicates) {
+  // The id index is kept sorted on insert, so a mid-index duplicate must
+  // be caught by the search, and sessions registered in any order (each
+  // end in a different one) must still route and complete.
+  const std::vector<std::uint32_t> ids = {40, 7, 23, 3, 31, 12};
+  auto wire = net::make_loopback();
+  net::MuxConfig cfg;
+  cfg.sweep_interval = 200us;
+  net::StpClient client(wire.a.get(), cfg);
+  net::StpServer server(wire.b.get(), cfg);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    auto pair = proto::make_stenning(kDomain);
+    const std::uint32_t cid = ids[i];
+    const std::uint32_t sid = ids[ids.size() - 1 - i];
+    client.add_session(cid, std::move(pair.sender), seq_for(cid, 4));
+    auto other = proto::make_stenning(kDomain);
+    server.add_session(sid, std::move(other.receiver), seq_for(sid, 4));
+  }
+  for (const std::uint32_t dup : {3u, 23u, 40u}) {
+    auto pair = proto::make_stenning(kDomain);
+    EXPECT_THROW(server.add_session(dup, std::move(pair.receiver),
+                                    seq_for(dup, 4)),
+                 ContractError)
+        << "id " << dup;
+  }
+  ASSERT_TRUE(net::run_service_pair(client, server, 10s));
+  expect_all_completed(client.mux(), ids.size(), 4);
+  expect_all_completed(server.mux(), ids.size(), 4);
+  EXPECT_EQ(server.mux().stats().frames_unknown_session, 0u);
+}
+
 TEST(NetMux, PublishesMetrics) {
   net::MuxConfig cfg;
   cfg.sweep_interval = 200us;

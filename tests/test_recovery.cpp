@@ -4,6 +4,7 @@
 // protocol x crash x storage-fault conformance sweep.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -22,6 +23,7 @@
 #include "store/stable_store.hpp"
 #include "util/blob.hpp"
 #include "util/expect.hpp"
+#include "util/rng.hpp"
 
 // ------------------------------------------------------------------ blobs --
 
@@ -70,6 +72,70 @@ TEST(Blob, ReaderIsDefensive) {
   std::vector<std::int64_t> v;
   EXPECT_FALSE(long_vec.vec(v));
   EXPECT_TRUE(v.empty());
+}
+
+/// What nested() must write: the tokenize-and-rewrite path.
+std::string nest_by_tokens(const std::string& prefix, const std::string& blob) {
+  BlobWriter w;
+  if (!prefix.empty()) w.i64(std::stoll(prefix));
+  const auto tokens = blob_tokens(blob);
+  w.vec(tokens ? *tokens : std::vector<std::int64_t>{});
+  return w.str();
+}
+
+std::string nest_verbatim(const std::string& prefix, const std::string& blob) {
+  BlobWriter w;
+  if (!prefix.empty()) w.i64(std::stoll(prefix));
+  w.nested(blob);
+  return w.str();
+}
+
+TEST(Blob, NestedIsByteIdenticalToTheTokenizePath) {
+  const std::vector<std::string> corpus = {
+      // canonical, including the empty blob
+      "", "0", "5", "-7", "1 2 3", "-7 0 -1", "202 1 4 3 4 5 6 3 102 4 0",
+      // non-canonical spellings of valid values
+      "-0", "007", "+5", "0 -0", "1 007 2", "00", "-007",
+      // leading, trailing and double spaces
+      " 1", "1 ", "1  2", " ", "  ", " 1 2 ",
+      // 19-digit values and the int64 edges, in and out of range
+      "1234567890123456789", "-1234567890123456789", "9223372036854775807",
+      "-9223372036854775808", "9223372036854775808", "-9223372036854775809",
+      "9999999999999999999", "12345678901234567890", "00000000000000000001",
+      "1 9223372036854775807 -9223372036854775808 0",
+      // malformed tokens
+      "junk", "1 x 2", "1-2", "--1", "-", "1.5", "0x10", "\t5", "5\n", "1,2",
+      "12a", "- 1"};
+  for (const std::string& prefix : {std::string(), std::string("7")}) {
+    for (const std::string& blob : corpus) {
+      EXPECT_EQ(nest_verbatim(prefix, blob), nest_by_tokens(prefix, blob))
+          << "prefix '" << prefix << "' blob '" << blob << "'";
+    }
+  }
+}
+
+TEST(Blob, NestedMatchesTheTokenizePathOnRandomText) {
+  // Fuzz from an alphabet dense in the cases that matter: digits, signs,
+  // spaces and a junk letter, plus canonical joins of extreme values.
+  const std::string alphabet = "0123456789 -+x";
+  const std::vector<std::int64_t> extremes = {
+      0, 1, -1, 9, 10, -10, INT64_MAX, INT64_MIN, INT64_MAX - 1, INT64_MIN + 1};
+  Rng rng(0xB10B);
+  for (int i = 0; i < 4000; ++i) {
+    std::string blob;
+    const std::size_t len = rng.below(14);
+    for (std::size_t j = 0; j < len; ++j) {
+      blob += alphabet[rng.below(alphabet.size())];
+    }
+    EXPECT_EQ(nest_verbatim("", blob), nest_by_tokens("", blob))
+        << "'" << blob << "'";
+
+    std::vector<std::int64_t> values(rng.below(6));
+    for (auto& v : values) v = extremes[rng.below(extremes.size())];
+    const std::string joined = blob_join(values);
+    EXPECT_EQ(nest_verbatim("7", joined), nest_by_tokens("7", joined))
+        << "'" << joined << "'";
+  }
 }
 
 }  // namespace
