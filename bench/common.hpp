@@ -20,7 +20,6 @@
 #include "seq/alpha.hpp"
 #include "seq/repetition_free.hpp"
 #include "stp/runner.hpp"
-#include "stp/soak.hpp"
 #include "util/expect.hpp"
 
 namespace stpx::bench {
@@ -60,7 +59,7 @@ inline BenchCli parse_bench_cli(int argc, char** argv) {
 }
 
 /// One bench invocation: parses the CLI, silences std::cout under --quiet,
-/// accumulates sweep/soak results, and emits the BENCH_<name>.json report
+/// accumulates sweep results, and emits the BENCH_<name>.json report
 /// from finish().  Intended shape of a main():
 ///
 ///   int main(int argc, char** argv) {
@@ -96,31 +95,12 @@ class BenchRun {
 
   /// Fold trial aggregates into the report.
   void record(const stp::SweepResult& r) { merged_.merge(r); }
-  void record(const stp::SoakReport& r) {
-    stp::SweepResult as_sweep;
-    as_sweep.trials = r.trials;
-    as_sweep.safety_failures = r.safety_violations;
-    as_sweep.recovery_failures = r.recovery_violations;
-    as_sweep.stabilization_failures = r.stabilization_violations;
-    as_sweep.stalled = r.stalled;
-    as_sweep.exhausted = r.exhausted;
-    as_sweep.incomplete = r.stalled + r.exhausted;
-    as_sweep.total_steps = r.total_steps;
-    as_sweep.total_msgs_sent = r.total_msgs_sent;
-    as_sweep.write_latencies = r.write_latencies;
-    as_sweep.trial_steps = r.trial_steps;
-    merged_.merge(as_sweep);
-  }
   /// Manual fold for benches that do not run stp sweeps.
   void record_trial(std::uint64_t steps, std::uint64_t msgs, bool completed) {
-    ++merged_.trials;
-    merged_.total_steps += steps;
+    merged_.tally(completed ? sim::RunVerdict::kCompleted
+                            : sim::RunVerdict::kBudgetExhausted,
+                  steps);
     merged_.total_msgs_sent += msgs;
-    merged_.trial_steps.push_back(steps);
-    if (!completed) {
-      ++merged_.incomplete;
-      ++merged_.exhausted;
-    }
   }
 
   /// Attach a metrics snapshot (MetricsRegistry::to_json()) to the report.
@@ -185,6 +165,24 @@ inline stp::SystemSpec repfree_del_spec(int m, double loss) {
     return std::make_unique<channel::FairRandomScheduler>(seed);
   };
   spec.engine.max_steps = 500000;
+  return spec;
+}
+
+/// A lossless reordering deletion channel under a fair scheduler, with the
+/// watchdog armed: the system the chaos soak (r1) and the crash exhibits
+/// (r1, r2) inject their faults into.
+inline stp::SystemSpec del_chaos_spec(
+    std::function<proto::ProtocolPair()> protocols) {
+  stp::SystemSpec spec;
+  spec.protocols = std::move(protocols);
+  spec.channel = [](std::uint64_t seed) {
+    return std::make_unique<channel::DelChannel>(0.0, seed);
+  };
+  spec.scheduler = [](std::uint64_t seed) {
+    return std::make_unique<channel::FairRandomScheduler>(seed);
+  };
+  spec.engine.max_steps = 60000;
+  spec.engine.stall_window = 6000;
   return spec;
 }
 

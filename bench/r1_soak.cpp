@@ -25,20 +25,6 @@ namespace {
 using namespace stpx;
 using namespace stpx::bench;
 
-stp::SystemSpec del_chaos_spec(std::function<proto::ProtocolPair()> protocols) {
-  stp::SystemSpec spec;
-  spec.protocols = std::move(protocols);
-  spec.channel = [](std::uint64_t seed) {
-    return std::make_unique<channel::DelChannel>(0.0, seed);
-  };
-  spec.scheduler = [](std::uint64_t seed) {
-    return std::make_unique<channel::FairRandomScheduler>(seed);
-  };
-  spec.engine.max_steps = 60000;
-  spec.engine.stall_window = 6000;
-  return spec;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -73,11 +59,12 @@ int main(int argc, char** argv) {
   for (const Entry& e : suite) {
     const auto spec = del_chaos_spec(e.make);
     const auto rep = stp::soak_sweep(e.name, spec, {x}, cfg);
-    bench.record(rep);
-    table.add_row({e.name, std::to_string(rep.trials),
-                   std::to_string(rep.completed),
-                   std::to_string(rep.safety_violations),
-                   std::to_string(rep.stalled), std::to_string(rep.exhausted),
+    bench.record(rep.sweep);
+    table.add_row({e.name, std::to_string(rep.sweep.trials),
+                   std::to_string(rep.sweep.completed()),
+                   std::to_string(rep.sweep.safety_failures),
+                   std::to_string(rep.sweep.stalled),
+                   std::to_string(rep.sweep.exhausted),
                    rep.clean() ? "yes" : "NO"});
     if (e.name == "abp") abp_report = rep;
     if (e.name == "repfree-del" || e.name == "stenning") {

@@ -31,20 +31,6 @@ namespace {
 using namespace stpx;
 using namespace stpx::bench;
 
-stp::SystemSpec crash_spec(std::function<proto::ProtocolPair()> protocols) {
-  stp::SystemSpec spec;
-  spec.protocols = std::move(protocols);
-  spec.channel = [](std::uint64_t seed) {
-    return std::make_unique<channel::DelChannel>(0.0, seed);
-  };
-  spec.scheduler = [](std::uint64_t seed) {
-    return std::make_unique<channel::FairRandomScheduler>(seed);
-  };
-  spec.engine.max_steps = 60000;
-  spec.engine.stall_window = 6000;
-  return spec;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -74,7 +60,7 @@ int main(int argc, char** argv) {
   analysis::Table amnesia({"protocol", "crash schedule", "amnesiac verdict",
                            "durable verdict", "records replayed"});
   for (const Entry& e : exhibits) {
-    auto spec = crash_spec(e.make);
+    auto spec = del_chaos_spec(e.make);
     if (e.name == "repfree-del") {
       // The violating schedule needs the deterministic round-robin
       // interleaving (same as the r1 exhibit and the regression test).
@@ -103,7 +89,7 @@ int main(int argc, char** argv) {
 
   // --- 2. the conformance matrix -----------------------------------------
   const auto cases = stp::default_recovery_cases();
-  const stp::RecoveryReport report = stp::recovery_sweep(cases, 2026);
+  const stp::MatrixReport report = stp::recovery_sweep(cases, 2026);
   analysis::Table matrix({"protocol", "trials", "completed", "recoveries",
                           "records replayed"});
   // Re-aggregate per protocol (8 trials each: 4 fault kinds x 2 procs).
@@ -113,22 +99,22 @@ int main(int argc, char** argv) {
       if (t.protocol != c.name) continue;
       ++trials;
       if (t.detail.empty()) ++completed;
-      recoveries += t.recoveries;
-      replayed += t.records_replayed;
+      recoveries += t.stats.recoveries;
+      replayed += t.stats.records_replayed;
     }
     matrix.add_row({c.name, std::to_string(trials), std::to_string(completed),
                     std::to_string(recoveries), std::to_string(replayed)});
   }
   std::cout << "\n" << matrix.to_ascii();
   for (const auto& t : report.trials) {
-    bench.record_trial(t.steps, 0, t.detail.empty());
+    bench.record_trial(t.stats.steps, 0, t.detail.empty());
     if (!t.detail.empty()) std::cout << "FAILED: " << t.detail << "\n";
   }
   shape = shape && report.clean();
 
   // --- 3. recovery cost metrics ------------------------------------------
   {
-    auto spec = crash_spec([] { return proto::make_stenning(12); });
+    auto spec = del_chaos_spec([] { return proto::make_stenning(12); });
     store::MemStore sstore, rstore;
     spec.engine.sender_store = &sstore;
     spec.engine.receiver_store = &rstore;

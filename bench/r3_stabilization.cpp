@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
 
   // --- 2. the conformance matrix -------------------------------------------
   const auto cases = stp::default_stabilization_cases();
-  const stp::StabilizationReport report = stp::stabilization_sweep(cases, 2026);
+  const stp::MatrixReport report = stp::stabilization_sweep(cases, 2026);
   analysis::Table matrix({"protocol", "trials", "as pinned", "completed",
                           "corruptions", "scrambles ok/rej"});
   for (const auto& c : cases) {
@@ -105,9 +105,9 @@ int main(int argc, char** argv) {
       ++trials;
       if (t.detail.empty()) ++pinned;
       if (t.verdict == sim::RunVerdict::kCompleted) ++completed;
-      corruptions += t.corruptions;
-      sok += t.scrambles_applied;
-      srej += t.scrambles_rejected;
+      corruptions += t.stats.corruptions;
+      sok += t.stats.scrambles_applied;
+      srej += t.stats.scrambles_rejected;
     }
     matrix.add_row({c.name, std::to_string(trials), std::to_string(pinned),
                     std::to_string(completed), std::to_string(corruptions),
@@ -118,30 +118,7 @@ int main(int argc, char** argv) {
   // stabilization-violation count (record_trial only knows completed/not).
   stp::SweepResult fold;
   for (const auto& t : report.trials) {
-    ++fold.trials;
-    fold.total_steps += t.steps;
-    fold.trial_steps.push_back(t.steps);
-    switch (t.verdict) {
-      case sim::RunVerdict::kStabilizationViolation:
-        ++fold.stabilization_failures;
-        break;
-      case sim::RunVerdict::kSafetyViolation:
-        ++fold.safety_failures;
-        break;
-      case sim::RunVerdict::kRecoveryViolation:
-        ++fold.recovery_failures;
-        break;
-      case sim::RunVerdict::kStalled:
-        ++fold.stalled;
-        ++fold.incomplete;
-        break;
-      case sim::RunVerdict::kBudgetExhausted:
-        ++fold.exhausted;
-        ++fold.incomplete;
-        break;
-      case sim::RunVerdict::kCompleted:
-        break;
-    }
+    fold.tally(t.verdict, t.stats.steps);
     if (!t.detail.empty()) std::cout << "OFF-PIN: " << t.detail << "\n";
   }
   bench.record(fold);

@@ -850,9 +850,9 @@ int main(int argc, char** argv) {
   // core (sanitizer jobs, parallel ctest) can stretch it far further.
   acc.drain_timeout = std::chrono::milliseconds(180'000);
   acc.plan.actions.push_back(
-      {stp::FabricFaultKind::kBackendCrash, 1, 15ms, {}, {}, {}});
+      {fault::FabricFaultKind::kBackendCrash, 1, 15ms, {}, {}, {}});
   acc.plan.actions.push_back(
-      {stp::FabricFaultKind::kRejoin, 1, kRejoinAt, {}, {}, {}});
+      {fault::FabricFaultKind::kRejoin, 1, kRejoinAt, {}, {}, {}});
   const auto accepted = stp::run_fabric_soak(acc);
   for (std::size_t i = 0; i < acc.sessions; ++i) {
     bench.record_trial(acc.seq_len, acc.seq_len * 2, accepted.ok);
@@ -893,8 +893,8 @@ int main(int argc, char** argv) {
     cfg.plan = stp::sample_fabric_plan(seed, kBackends);
     const bool has_crash = std::any_of(
         cfg.plan.actions.begin(), cfg.plan.actions.end(),
-        [](const stp::FabricFaultAction& a) {
-          return a.kind == stp::FabricFaultKind::kBackendCrash;
+        [](const fault::FabricFaultAction& a) {
+          return a.kind == fault::FabricFaultKind::kBackendCrash;
         });
     if (!has_crash) continue;
     ++crash_trials;
@@ -903,8 +903,9 @@ int main(int argc, char** argv) {
     restore.insert(restore.end(), r.restore_latency_us.begin(),
                    r.restore_latency_us.end());
     if (!r.ok) {
-      std::cout << "\nseed " << seed << " plan [" << stp::to_string(cfg.plan)
-                << "] FAILED: " << r.failure << "\n";
+      std::cout << "\nseed " << seed << " plan ["
+                << fault::to_text(cfg.plan) << "] FAILED: " << r.failure
+                << "\n";
       write_failure_artifacts(cfg, seed, r);
     }
   }
@@ -943,7 +944,7 @@ int main(int argc, char** argv) {
                        r.reclaim_latency_us.end());
     if (!r.ok) {
       std::cout << "\nresilience seed " << seed << " plan ["
-                << stp::to_string(cfg.plan) << "] FAILED: " << r.failure
+                << fault::to_text(cfg.plan) << "] FAILED: " << r.failure
                 << "\n";
       write_failure_artifacts(cfg, seed, r);
     }

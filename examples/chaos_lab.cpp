@@ -85,7 +85,7 @@ int main() {
   // Scene 3: soak ABP, shrink the first failure, replay it.
   const auto spec3 = del_spec([] { return proto::make_abp(12); });
   const auto rep = stp::soak_sweep("abp", spec3, {x}, stp::SoakConfig{});
-  std::cout << "scene 3: abp soak: " << rep.trials << " trials, "
+  std::cout << "scene 3: abp soak: " << rep.sweep.trials << " trials, "
             << rep.failures.size() << " failures\n";
   if (!rep.clean()) {
     const auto min = stp::minimize_plan(spec3, rep.failures.front());

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "util/expect.hpp"
+#include "util/strings.hpp"
 
 namespace stpx::fault {
 
@@ -25,10 +26,10 @@ std::vector<std::uint32_t> group_from_text(const std::string& s,
   std::istringstream is(s);
   std::string tok;
   while (std::getline(is, tok, ',')) {
-    STPX_EXPECT(!tok.empty() &&
-                    tok.find_first_not_of("0123456789") == std::string::npos,
+    const auto id = parse_int<std::uint32_t>(tok);
+    STPX_EXPECT(id.has_value(),
                 "fabric_plan_from_text: bad host id '" + tok + "'" + where);
-    out.push_back(static_cast<std::uint32_t>(std::stoul(tok)));
+    out.push_back(*id);
   }
   STPX_EXPECT(!out.empty(),
               "fabric_plan_from_text: empty partition group" + where);
@@ -38,10 +39,14 @@ std::vector<std::uint32_t> group_from_text(const std::string& s,
 /// Parse "20ms" -> 20.  The unit is mandatory; anything else is malformed.
 std::chrono::milliseconds ms_from_text(const std::string& s,
                                        const std::string& where) {
-  STPX_EXPECT(s.size() > 2 && s.substr(s.size() - 2) == "ms" &&
-                  s.find_first_not_of("0123456789") == s.size() - 2,
+  const auto ms =
+      s.size() > 2 && s.ends_with("ms") && s[0] != '-'
+          ? parse_int<std::chrono::milliseconds::rep>(
+                std::string_view(s).substr(0, s.size() - 2))
+          : std::nullopt;
+  STPX_EXPECT(ms.has_value(),
               "fabric_plan_from_text: bad time '" + s + "'" + where);
-  return std::chrono::milliseconds(std::stol(s.substr(0, s.size() - 2)));
+  return std::chrono::milliseconds(*ms);
 }
 
 }  // namespace
@@ -139,11 +144,11 @@ FabricFaultPlan fabric_plan_from_text(const std::string& text) {
       STPX_EXPECT(scope.size() > 1 && scope[0] == 'b',
                   "fabric_plan_from_text: expected 'b<id>', got '" + scope +
                       "'" + where);
-      STPX_EXPECT(scope.find_first_not_of("0123456789", 1) ==
-                      std::string::npos,
-                  "fabric_plan_from_text: bad backend id '" + scope + "'" +
-                      where);
-      a.backend = static_cast<std::uint32_t>(std::stoul(scope.substr(1)));
+      const auto id =
+          parse_int<std::uint32_t>(std::string_view(scope).substr(1));
+      STPX_EXPECT(id.has_value(), "fabric_plan_from_text: bad backend id '" +
+                                      scope + "'" + where);
+      a.backend = *id;
     }
     plan.actions.push_back(std::move(a));
   }

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "util/expect.hpp"
+#include "util/strings.hpp"
 
 namespace stpx::fault {
 
@@ -108,6 +109,17 @@ FaultPlan plan_from_text(const std::string& text) {
       STPX_EXPECT(false, "plan_from_text: unknown fault '" + op + "'" + where);
     }
 
+    // The next token, read whole as an unsigned 64-bit number.
+    auto number = [&](const std::string& field) {
+      std::string v;
+      STPX_EXPECT(static_cast<bool>(ls >> v),
+                  "plan_from_text: missing " + field + " value" + where);
+      const auto n = parse_int<std::uint64_t>(v);
+      STPX_EXPECT(n.has_value(), "plan_from_text: bad " + field + " value '" +
+                                     v + "'" + where);
+      return *n;
+    };
+
     std::string tok;
     ls >> tok;
     STPX_EXPECT(!tok.empty() && tok[0] == '@',
@@ -123,8 +135,7 @@ FaultPlan plan_from_text(const std::string& text) {
       STPX_EXPECT(false,
                   "plan_from_text: unknown trigger '" + trig + "'" + where);
     }
-    ls >> a.trigger.at;
-    STPX_EXPECT(!ls.fail(), "plan_from_text: missing trigger value" + where);
+    a.trigger.at = number("trigger");
 
     while (ls >> tok) {
       if (tok == "dir") {
@@ -141,19 +152,21 @@ FaultPlan plan_from_text(const std::string& text) {
                     "plan_from_text: bad proc '" + p + "'" + where);
         a.proc = p == "sender" ? sim::Proc::kSender : sim::Proc::kReceiver;
       } else if (tok == "count") {
-        ls >> a.count;
+        a.count = number("count");
       } else if (tok == "len") {
-        ls >> a.duration;
+        a.duration = number("len");
       } else if (tok == "match") {
         std::string m;
         ls >> m;
-        a.match = m == "*" ? kAnyMsg
-                           : static_cast<sim::MsgId>(std::stoll(m));
+        const auto id =
+            m == "*" ? std::optional(kAnyMsg) : parse_int<sim::MsgId>(m);
+        STPX_EXPECT(id.has_value(),
+                    "plan_from_text: bad match '" + m + "'" + where);
+        a.match = *id;
       } else {
         STPX_EXPECT(false,
                     "plan_from_text: unknown field '" + tok + "'" + where);
       }
-      STPX_EXPECT(!ls.fail(), "plan_from_text: missing field value" + where);
     }
     plan.actions.push_back(a);
   }

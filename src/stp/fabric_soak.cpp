@@ -7,6 +7,7 @@
 #include "net/flight_recorder.hpp"
 #include "net/service.hpp"
 #include "proto/suite.hpp"
+#include "stp/ddmin.hpp"
 #include "store/session_log.hpp"
 #include "store/stable_store.hpp"
 #include "util/rng.hpp"
@@ -40,12 +41,12 @@ bool group_has(const std::vector<std::uint32_t>& g, std::uint32_t h) {
 /// kToBackend when the router sits in group_a, kFromBackend when it sits
 /// in group_b.
 void apply_partition(fabric::Fabric& fab, std::size_t backends,
-                     const FabricFaultAction& a, bool on) {
+                     const fault::FabricFaultAction& a, bool on) {
   const bool router_in_a = group_has(a.group_a, 0);
   const bool router_in_b = group_has(a.group_b, 0);
   if (router_in_a == router_in_b) return;
   fabric::PartitionMode mode = fabric::PartitionMode::kBoth;
-  if (a.kind == FabricFaultKind::kPartitionOneWay) {
+  if (a.kind == fault::FabricFaultKind::kPartitionOneWay) {
     mode = router_in_a ? fabric::PartitionMode::kToBackend
                        : fabric::PartitionMode::kFromBackend;
   }
@@ -58,10 +59,6 @@ void apply_partition(fabric::Fabric& fab, std::size_t backends,
 }
 
 }  // namespace
-
-std::string to_string(const FabricFaultPlan& plan) {
-  return fault::to_text(plan);
-}
 
 FabricSoakResult run_fabric_soak(const FabricSoakConfig& cfg) {
   FabricSoakResult res;
@@ -128,14 +125,14 @@ FabricSoakResult run_fabric_soak(const FabricSoakConfig& cfg) {
   // on and an off edge), then fire each on schedule.
   struct Edge {
     std::chrono::milliseconds at;
-    FabricFaultAction action;
+    fault::FabricFaultAction action;
     bool on;
   };
   std::vector<Edge> edges;
-  for (const FabricFaultAction& a : cfg.plan.actions) {
-    const bool windowed = a.kind != FabricFaultKind::kBackendCrash &&
-                          a.kind != FabricFaultKind::kRejoin;
-    if (!is_partition_fault(a.kind) &&
+  for (const fault::FabricFaultAction& a : cfg.plan.actions) {
+    const bool windowed = a.kind != fault::FabricFaultKind::kBackendCrash &&
+                          a.kind != fault::FabricFaultKind::kRejoin;
+    if (!fault::is_partition_fault(a.kind) &&
         (a.backend < 1 || a.backend > cfg.backends)) {
       continue;
     }
@@ -152,25 +149,25 @@ FabricSoakResult run_fabric_soak(const FabricSoakConfig& cfg) {
   std::vector<std::uint32_t> rejoined;  // handshake acked; reclaim pending
   for (const Edge& e : edges) {
     std::this_thread::sleep_until(t0 + e.at);
-    const FabricFaultAction& a = e.action;
+    const fault::FabricFaultAction& a = e.action;
     switch (a.kind) {
-      case FabricFaultKind::kBackendCrash:
+      case fault::FabricFaultKind::kBackendCrash:
         if (e.on) {
           fab.kill_backend(a.backend);
           crashed.push_back(a.backend);
         }
         break;
-      case FabricFaultKind::kProbeBlackout:
+      case fault::FabricFaultKind::kProbeBlackout:
         fab.set_probe_blackout(a.backend, e.on);
         break;
-      case FabricFaultKind::kRouterSplit:
+      case fault::FabricFaultKind::kRouterSplit:
         fab.set_data_split(a.backend, e.on);
         break;
-      case FabricFaultKind::kPartition:
-      case FabricFaultKind::kPartitionOneWay:
+      case fault::FabricFaultKind::kPartition:
+      case fault::FabricFaultKind::kPartitionOneWay:
         apply_partition(fab, cfg.backends, a, e.on);
         break;
-      case FabricFaultKind::kRejoin:
+      case fault::FabricFaultKind::kRejoin:
         // A rejoin that cannot be acked (backend alive, link partitioned
         // for the whole window, ...) just leaves the cell dead; that is
         // the protocol's answer, not a harness failure.
@@ -297,23 +294,23 @@ FabricSoakResult run_fabric_soak(const FabricSoakConfig& cfg) {
   return res;
 }
 
-FabricFaultPlan sample_fabric_plan(std::uint64_t seed,
+fault::FabricFaultPlan sample_fabric_plan(std::uint64_t seed,
                                    std::size_t backends) {
   Rng rng(seed ^ kPlanSalt);
-  FabricFaultPlan plan;
+  fault::FabricFaultPlan plan;
   const std::size_t n = 1 + rng.below(3);
   std::size_t crashes = 0;
   const std::size_t max_crashes = backends > 1 ? backends - 1 : 0;
   for (std::size_t i = 0; i < n; ++i) {
-    FabricFaultAction a;
+    fault::FabricFaultAction a;
     const std::uint64_t pick = rng.below(4);
     if (pick <= 1 && crashes < max_crashes) {
-      a.kind = FabricFaultKind::kBackendCrash;
+      a.kind = fault::FabricFaultKind::kBackendCrash;
       ++crashes;
     } else if (pick == 2 || max_crashes == 0) {
-      a.kind = FabricFaultKind::kProbeBlackout;
+      a.kind = fault::FabricFaultKind::kProbeBlackout;
     } else {
-      a.kind = FabricFaultKind::kRouterSplit;
+      a.kind = fault::FabricFaultKind::kRouterSplit;
     }
     a.backend = static_cast<std::uint32_t>(1 + rng.below(backends));
     a.at = std::chrono::milliseconds(5 + rng.below(60));
@@ -323,10 +320,10 @@ FabricFaultPlan sample_fabric_plan(std::uint64_t seed,
   return plan;
 }
 
-FabricFaultPlan sample_resilience_plan(std::uint64_t seed,
+fault::FabricFaultPlan sample_resilience_plan(std::uint64_t seed,
                                        std::size_t backends) {
   Rng rng(seed ^ kResilienceSalt);
-  FabricFaultPlan plan;
+  fault::FabricFaultPlan plan;
   if (backends < 2) return sample_fabric_plan(seed, backends);
 
   // The spine of every trial: one crash, one rejoin of the same backend,
@@ -334,14 +331,14 @@ FabricFaultPlan sample_resilience_plan(std::uint64_t seed,
   // completes in between — so the reclaim genuinely crosses three
   // generations of ownership (victim gen-1 -> survivor -> victim gen-2).
   const auto victim = static_cast<std::uint32_t>(1 + rng.below(backends));
-  FabricFaultAction crash;
-  crash.kind = FabricFaultKind::kBackendCrash;
+  fault::FabricFaultAction crash;
+  crash.kind = fault::FabricFaultKind::kBackendCrash;
   crash.backend = victim;
   crash.at = std::chrono::milliseconds(5 + rng.below(25));
   plan.actions.push_back(crash);
 
-  FabricFaultAction rj;
-  rj.kind = FabricFaultKind::kRejoin;
+  fault::FabricFaultAction rj;
+  rj.kind = fault::FabricFaultKind::kRejoin;
   rj.backend = victim;
   rj.at = crash.at + std::chrono::milliseconds(60 + rng.below(60));
   plan.actions.push_back(rj);
@@ -352,9 +349,9 @@ FabricFaultPlan sample_resilience_plan(std::uint64_t seed,
   if (rng.below(2) == 0) {
     auto other = static_cast<std::uint32_t>(1 + rng.below(backends));
     if (other == victim) other = victim % backends + 1;
-    FabricFaultAction p;
-    p.kind = rng.below(2) == 0 ? FabricFaultKind::kPartition
-                               : FabricFaultKind::kPartitionOneWay;
+    fault::FabricFaultAction p;
+    p.kind = rng.below(2) == 0 ? fault::FabricFaultKind::kPartition
+                               : fault::FabricFaultKind::kPartitionOneWay;
     p.group_a = {0};
     p.group_b = {other};
     p.at = std::chrono::milliseconds(10 + rng.below(40));
@@ -363,8 +360,8 @@ FabricFaultPlan sample_resilience_plan(std::uint64_t seed,
   }
   // ... and/or a probe blackout to keep false suspicion in the mix.
   if (rng.below(2) == 0) {
-    FabricFaultAction bl;
-    bl.kind = FabricFaultKind::kProbeBlackout;
+    fault::FabricFaultAction bl;
+    bl.kind = fault::FabricFaultKind::kProbeBlackout;
     bl.backend = static_cast<std::uint32_t>(1 + rng.below(backends));
     bl.at = std::chrono::milliseconds(5 + rng.below(50));
     bl.len = std::chrono::milliseconds(20 + rng.below(60));
@@ -394,27 +391,17 @@ FabricSoakReport fabric_soak_sweep(const FabricSoakConfig& base,
   return rep;
 }
 
-MinimizedFabricPlan minimize_fabric_plan(const FabricSoakConfig& cfg,
-                                         const FabricFaultPlan& failing) {
+MinimizedFabricPlan minimize_fabric_plan(
+    const FabricSoakConfig& cfg, const fault::FabricFaultPlan& failing) {
   MinimizedFabricPlan out;
   out.plan = failing;
-  bool shrunk = true;
-  while (shrunk && !out.plan.actions.empty()) {
-    shrunk = false;
-    for (std::size_t i = 0; i < out.plan.actions.size(); ++i) {
-      FabricFaultPlan cand = out.plan;
-      cand.actions.erase(cand.actions.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-      FabricSoakConfig probe = cfg;
-      probe.plan = cand;
-      ++out.probe_runs;
-      if (!run_fabric_soak(probe).ok) {
-        out.plan = std::move(cand);
-        shrunk = true;
-        break;
-      }
-    }
-  }
+  remove_actions_to_fixpoint(
+      out.plan, [&](const fault::FabricFaultPlan& candidate) {
+        FabricSoakConfig probe = cfg;
+        probe.plan = candidate;
+        ++out.probe_runs;
+        return !run_fabric_soak(probe).ok;
+      });
   return out;
 }
 

@@ -22,10 +22,9 @@
 //
 // The plan vocabulary itself (kinds, scopes, text round-trip) lives in
 // fault/fabric_plan.hpp so a minimized counterexample can be written to a
-// CI artifact and replayed verbatim; this header re-exports the names the
-// existing harnesses use.  The client here runs over a ResolverTransport,
-// so every soak also exercises the nameserver protocol: leases on
-// connect, epoch-fenced redirects on ownership changes.
+// CI artifact and replayed verbatim.  The client here runs over a
+// ResolverTransport, so every soak also exercises the nameserver protocol:
+// leases on connect, epoch-fenced redirects on ownership changes.
 #pragma once
 
 #include <chrono>
@@ -40,19 +39,6 @@
 
 namespace stpx::stp {
 
-// Historical home of the fabric plan grammar; the types moved to
-// fault/fabric_plan.hpp (pure data + text round-trip) and these aliases
-// keep every existing caller compiling unchanged.
-using FabricFaultKind = fault::FabricFaultKind;
-using FabricFaultAction = fault::FabricFaultAction;
-using FabricFaultPlan = fault::FabricFaultPlan;
-using fault::is_partition_fault;
-using fault::to_cstr;
-
-/// "backend-crash@20ms b2; probe-blackout@5ms+80ms b1" (empty plan: "-").
-/// Delegates to fault::to_text; fault::fabric_plan_from_text inverts it.
-std::string to_string(const FabricFaultPlan& plan);
-
 struct FabricSoakConfig {
   std::size_t backends = 3;
   std::size_t sessions = 24;
@@ -66,7 +52,7 @@ struct FabricSoakConfig {
   net::MuxConfig mux;
   /// Wait for completion after the last scripted action.
   std::chrono::milliseconds drain_timeout{60'000};
-  FabricFaultPlan plan;
+  fault::FabricFaultPlan plan;
 };
 
 struct FabricSoakResult {
@@ -93,19 +79,19 @@ FabricSoakResult run_fabric_soak(const FabricSoakConfig& cfg);
 
 /// Deterministic small random plan for one sweep trial: 1-3 actions,
 /// crashes capped at backends-1 so a survivor always exists.
-FabricFaultPlan sample_fabric_plan(std::uint64_t seed,
+fault::FabricFaultPlan sample_fabric_plan(std::uint64_t seed,
                                    std::size_t backends);
 
 /// Deterministic resilience plan: a crash → rejoin pair (so every trial
 /// exercises reclaim across three generations of ownership) plus up to
 /// two ambient faults — a router-side partition window and/or a probe
 /// blackout.  Partitions scope host 0 (router side) against one backend.
-FabricFaultPlan sample_resilience_plan(std::uint64_t seed,
+fault::FabricFaultPlan sample_resilience_plan(std::uint64_t seed,
                                        std::size_t backends);
 
 struct FabricSoakFailure {
   std::uint64_t seed = 0;
-  FabricFaultPlan plan;
+  fault::FabricFaultPlan plan;
   std::string failure;
 };
 
@@ -126,14 +112,14 @@ FabricSoakReport fabric_soak_sweep(const FabricSoakConfig& base,
                                    bool resilience = false);
 
 struct MinimizedFabricPlan {
-  FabricFaultPlan plan;
+  fault::FabricFaultPlan plan;
   std::size_t probe_runs = 0;  ///< soak runs spent shrinking
 };
 
 /// Shrink `failing` (which makes run_fabric_soak fail under `cfg`) to a
 /// 1-minimal failing plan: removing any single remaining action makes
 /// the soak pass.  Each probe is a full fabric run — budget accordingly.
-MinimizedFabricPlan minimize_fabric_plan(const FabricSoakConfig& cfg,
-                                         const FabricFaultPlan& failing);
+MinimizedFabricPlan minimize_fabric_plan(
+    const FabricSoakConfig& cfg, const fault::FabricFaultPlan& failing);
 
 }  // namespace stpx::stp

@@ -1,18 +1,7 @@
 #include "stp/recovery.hpp"
 
-#include <memory>
 #include <sstream>
-#include <utility>
 
-#include "channel/del_channel.hpp"
-#include "channel/dup_channel.hpp"
-#include "channel/fifo_channel.hpp"
-#include "channel/schedulers.hpp"
-#include "channel/sync_channel.hpp"
-#include "proto/encoded.hpp"
-#include "proto/suite.hpp"
-#include "seq/encoding.hpp"
-#include "seq/family.hpp"
 #include "store/stable_store.hpp"
 #include "util/expect.hpp"
 
@@ -34,6 +23,51 @@ bool can_rewind(fault::FaultKind k) {
   return k != fault::FaultKind::kStaleSnapshot;
 }
 
+/// Rewind-safe processes take biting placement; rewind-unsafe ones only
+/// for the kinds that cannot surface a rewound checkpoint.
+bool biting(const RecoveryCase& c, fault::FaultKind kind, sim::Proc proc) {
+  const bool rewind_safe = proc == sim::Proc::kSender ? c.sender_rewind_safe
+                                                      : c.receiver_rewind_safe;
+  return rewind_safe || !can_rewind(kind);
+}
+
+/// Each trial gets a fresh MemStore pair, so no checkpoint outlives it.
+sim::RunResult run_with_fresh_stores(SystemSpec spec, const seq::Sequence& x,
+                                     std::uint64_t seed) {
+  store::MemStore sender_store;
+  store::MemStore receiver_store;
+  spec.engine.sender_store = &sender_store;
+  spec.engine.receiver_store = &receiver_store;
+  return run_one(spec, x, seed);
+}
+
+std::string judge(const RecoveryCase& c, fault::FaultKind kind,
+                  sim::Proc proc, const sim::RunResult& r) {
+  const std::uint64_t crashes = r.stats.crashes[0] + r.stats.crashes[1];
+  // The contract: the run completes AND the crash actually happened AND
+  // recovery rehydrated from the store (no silent cold restart).
+  // Exception: sender checkpoints are ack-driven, so under loss the sender
+  // log can still hold a single record when a lose-tail or corrupt-record
+  // fault destroys it outright.  A cold sender restart is then the
+  // *correct* recovery (the sender re-reads X from its code) and
+  // completing the transfer is the whole contract.
+  const bool cold_ok = proc == sim::Proc::kSender &&
+                       (kind == fault::FaultKind::kLoseTail ||
+                        kind == fault::FaultKind::kCorruptRecord);
+  if (r.verdict == sim::RunVerdict::kCompleted && crashes >= 1 &&
+      (r.stats.recoveries >= 1 || cold_ok)) {
+    return {};
+  }
+  std::ostringstream os;
+  os << c.name << " x " << fault::to_cstr(kind) << " proc "
+     << sim::to_cstr(proc)
+     << (biting(c, kind, proc) ? " (biting)" : " (superseded)") << " -> "
+     << sim::to_cstr(r.verdict) << " crashes=" << crashes
+     << " recoveries=" << r.stats.recoveries << " after " << r.stats.steps
+     << " steps, wrote " << seq::to_string(r.output);
+  return os.str();
+}
+
 sim::EngineConfig trial_engine() {
   sim::EngineConfig cfg;
   cfg.max_steps = 300000;
@@ -42,13 +76,6 @@ sim::EngineConfig trial_engine() {
   // previous snapshot generation to roll back to.
   cfg.compact_every = 4;
   return cfg;
-}
-
-std::function<std::unique_ptr<sim::IScheduler>(std::uint64_t)>
-fair_scheduler() {
-  return [](std::uint64_t seed) {
-    return std::make_unique<channel::FairRandomScheduler>(seed);
-  };
 }
 
 }  // namespace
@@ -90,172 +117,42 @@ fault::FaultPlan recovery_plan(fault::FaultKind kind, sim::Proc proc,
   return plan;
 }
 
-RecoveryReport recovery_sweep(const std::vector<RecoveryCase>& cases,
-                              std::uint64_t seed) {
-  RecoveryReport report;
-  for (const RecoveryCase& c : cases) {
-    for (fault::FaultKind kind : kStoreFaults) {
-      for (sim::Proc proc : {sim::Proc::kSender, sim::Proc::kReceiver}) {
-        const bool rewind_safe = proc == sim::Proc::kSender
-                                     ? c.sender_rewind_safe
-                                     : c.receiver_rewind_safe;
-        const bool biting = rewind_safe || !can_rewind(kind);
-        store::MemStore sender_store;
-        store::MemStore receiver_store;
-        SystemSpec spec = c.spec;
-        spec.engine.sender_store = &sender_store;
-        spec.engine.receiver_store = &receiver_store;
-        const fault::FaultPlan plan =
-            recovery_plan(kind, proc, biting, c.writes_can_batch);
-        const sim::RunResult r = run_one(with_chaos(spec, plan), c.input, seed);
-
-        RecoveryTrial t;
-        t.protocol = c.name;
-        t.fault = kind;
-        t.proc = proc;
-        t.biting = biting;
-        t.verdict = r.verdict;
-        t.crashes = r.stats.crashes[0] + r.stats.crashes[1];
-        t.recoveries = r.stats.recoveries;
-        t.records_replayed = r.stats.records_replayed;
-        t.steps = r.stats.steps;
-        // The contract: the run completes AND the crash actually happened
-        // AND recovery rehydrated from the store (no silent cold restart).
-        // Exception: sender checkpoints are ack-driven, so under loss the
-        // sender log can still hold a single record when a lose-tail or
-        // corrupt-record fault destroys it outright.  A cold sender restart
-        // is then the *correct* recovery (the sender re-reads X from its
-        // code) and completing the transfer is the whole contract.
-        const bool cold_ok =
-            proc == sim::Proc::kSender &&
-            (kind == fault::FaultKind::kLoseTail ||
-             kind == fault::FaultKind::kCorruptRecord);
-        const bool ok = r.verdict == sim::RunVerdict::kCompleted &&
-                        t.crashes >= 1 && (t.recoveries >= 1 || cold_ok);
-        if (ok) {
-          ++report.completed;
-        } else {
-          ++report.failed;
-          std::ostringstream os;
-          os << c.name << " x " << fault::to_cstr(kind) << " proc "
-             << sim::to_cstr(proc) << (biting ? " (biting)" : " (superseded)")
-             << " -> " << sim::to_cstr(r.verdict) << " crashes=" << t.crashes
-             << " recoveries=" << t.recoveries << " after " << t.steps
-             << " steps, wrote " << seq::to_string(r.output);
-          t.detail = os.str();
-        }
-        report.trials.push_back(std::move(t));
-      }
-    }
-  }
-  return report;
+MatrixReport recovery_sweep(const std::vector<RecoveryCase>& cases,
+                            std::uint64_t seed) {
+  Matrix<RecoveryCase> m;
+  m.kinds = kStoreFaults;
+  m.plan = [](const RecoveryCase& c, fault::FaultKind kind, sim::Proc proc) {
+    return recovery_plan(kind, proc, biting(c, kind, proc),
+                         c.writes_can_batch);
+  };
+  m.run = run_with_fresh_stores;
+  m.judge = judge;
+  return run_matrix(cases, m, seed);
 }
 
 std::vector<RecoveryCase> default_recovery_cases() {
   std::vector<RecoveryCase> cases;
-  const seq::Sequence six{0, 1, 2, 3, 4, 5};
-  auto add = [&](std::string name,
-                 std::function<proto::ProtocolPair()> protocols,
-                 std::function<std::unique_ptr<sim::IChannel>(std::uint64_t)>
-                     channel,
-                 seq::Sequence input, bool sender_rewind_safe = true,
-                 bool receiver_rewind_safe = true) {
-    RecoveryCase c;
-    c.name = std::move(name);
-    c.spec.protocols = std::move(protocols);
-    c.spec.channel = std::move(channel);
-    c.spec.scheduler = fair_scheduler();
-    c.spec.engine = trial_engine();
-    c.input = std::move(input);
-    c.sender_rewind_safe = sender_rewind_safe;
-    c.receiver_rewind_safe = receiver_rewind_safe;
-    cases.push_back(std::move(c));
-  };
-
-  add("stenning", [] { return proto::make_stenning(6); },
-      [](std::uint64_t seed) {
-        return std::make_unique<channel::DelChannel>(0.3, seed);
-      },
-      six);
+  for (ProtocolCase& p : suite_roster(trial_engine())) {
+    cases.push_back({std::move(p)});
+  }
   // Bounded-header senders (abp, modk, block, hybrid) cannot tolerate a
   // rewound checkpoint: the re-sent item reuses a header bit / seqno residue
   // the receiver has already cycled past, and the alias is accepted as the
   // *next* item — a wrong write (see the Hazard tests and docs/RECOVERY.md).
   // Their unbounded-seqno and content-addressed peers rewind safely.
-  add("abp", [] { return proto::make_abp(6); },
-      [](std::uint64_t seed) {
-        return std::make_unique<channel::FifoChannel>(0.2, 0.1, seed);
-      },
-      six, /*sender_rewind_safe=*/false, /*receiver_rewind_safe=*/true);
-  add("modk-stenning", [] { return proto::make_modk_stenning(6, 3); },
-      [](std::uint64_t seed) {
-        return std::make_unique<channel::FifoChannel>(0.2, 0.1, seed);
-      },
-      six, /*sender_rewind_safe=*/false, /*receiver_rewind_safe=*/true);
-  add("repfree-dup", [] { return proto::make_repfree_dup(6); },
-      [](std::uint64_t) { return std::make_unique<channel::DupChannel>(); },
-      six);
+  for (const char* name : {"abp", "modk-stenning", "block", "hybrid"}) {
+    case_named(cases, name).sender_rewind_safe = false;
+  }
   // The repfree-del sender cannot tolerate a rewound checkpoint: it would
   // re-send an already-acked item the receiver's seen_ set silently eats,
   // and no future ack names it (the W = a+1 stall; see docs/RECOVERY.md).
-  add("repfree-del", [] { return proto::make_repfree_del(6); },
-      [](std::uint64_t seed) {
-        return std::make_unique<channel::DelChannel>(0.3, seed);
-      },
-      six, /*sender_rewind_safe=*/false, /*receiver_rewind_safe=*/true);
-  add("go-back-n", [] { return proto::make_go_back_n(6, 3); },
-      [](std::uint64_t seed) {
-        return std::make_unique<channel::DelChannel>(0.3, seed);
-      },
-      six);
-  add("selective-repeat", [] { return proto::make_selective_repeat(6, 3); },
-      [](std::uint64_t seed) {
-        return std::make_unique<channel::DelChannel>(0.3, seed);
-      },
-      six);
-  add("block", [] { return proto::make_block(4, 2, 12); },
-      [](std::uint64_t seed) {
-        return std::make_unique<channel::FifoChannel>(0.2, 0.0, seed);
-      },
-      seq::Sequence{0, 1, 2, 3, 1, 2}, /*sender_rewind_safe=*/false,
-      /*receiver_rewind_safe=*/true);
-  add("hybrid", [] { return proto::make_hybrid(6, 8); },
-      [](std::uint64_t seed) {
-        return std::make_unique<channel::FifoChannel>(0.1, 0.0, seed);
-      },
-      six, /*sender_rewind_safe=*/false, /*receiver_rewind_safe=*/true);
-  // Encoded pair over a chain family: words exist trivially (the encoding
-  // embeds the prefix trie of <0..5> into the repetition-free word tree).
-  {
-    seq::Family fam;
-    fam.domain = seq::Domain{6};
-    for (std::size_t len = 0; len <= six.size(); ++len) {
-      fam.members.emplace_back(six.begin(),
-                               six.begin() + static_cast<std::ptrdiff_t>(len));
-    }
-    auto enc = seq::try_build_encoding(fam, 6);
-    STPX_EXPECT(enc.has_value(), "chain-family encoding must exist");
-    auto table =
-        std::make_shared<const seq::Encoding>(std::move(*enc));
-    add("encoded-knowledge",
-        [table] {
-          return proto::ProtocolPair{
-              std::make_unique<proto::EncodedSender>(table,
-                                                     /*retransmit=*/false),
-              std::make_unique<proto::KnowledgeReceiver>(table,
-                                                         /*reack=*/false)};
-        },
-        [](std::uint64_t) { return std::make_unique<channel::DupChannel>(); },
-        six);
-  }
+  case_named(cases, "repfree-del").sender_rewind_safe = false;
   // Sync stop-and-wait has no headers, so NEITHER side can dedup a rewound
   // stream — exact restore works, rewinds are the documented hazard.
-  add("sync-stop-wait", [] { return proto::make_sync_stop_wait(6); },
-      [](std::uint64_t seed) {
-        return std::make_unique<channel::SyncLossChannel>(0.2, seed);
-      },
-      six, /*sender_rewind_safe=*/false, /*receiver_rewind_safe=*/false);
-  cases.back().writes_can_batch = true;  // verdict-gated flushes batch writes
+  RecoveryCase& sync = case_named(cases, "sync-stop-wait");
+  sync.sender_rewind_safe = false;
+  sync.receiver_rewind_safe = false;
+  sync.writes_can_batch = true;  // verdict-gated flushes batch writes
   return cases;
 }
 

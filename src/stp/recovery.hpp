@@ -18,16 +18,13 @@
 #pragma once
 
 #include "fault/plan.hpp"
-#include "stp/soak.hpp"
+#include "stp/conformance.hpp"
 
 namespace stpx::stp {
 
 /// One protocol entry in the conformance matrix.  `spec` carries no stores;
 /// recovery_sweep attaches a fresh MemStore pair per trial.
-struct RecoveryCase {
-  std::string name;
-  SystemSpec spec;
-  seq::Sequence input;
+struct RecoveryCase : ProtocolCase {
   /// Whether this process tolerates recovering from a checkpoint one record
   /// older than its live state (see docs/RECOVERY.md for the per-protocol
   /// analysis).  Rewind-unsafe combos get superseded fault placement.
@@ -40,27 +37,6 @@ struct RecoveryCase {
   bool writes_can_batch = false;
 };
 
-struct RecoveryTrial {
-  std::string protocol;
-  fault::FaultKind fault = fault::FaultKind::kTornWrite;
-  sim::Proc proc = sim::Proc::kSender;
-  bool biting = false;
-  sim::RunVerdict verdict = sim::RunVerdict::kBudgetExhausted;
-  std::uint64_t crashes = 0;
-  std::uint64_t recoveries = 0;
-  std::uint64_t records_replayed = 0;
-  std::uint64_t steps = 0;
-  std::string detail;  // non-empty iff the trial failed
-};
-
-struct RecoveryReport {
-  std::vector<RecoveryTrial> trials;
-  std::size_t completed = 0;
-  std::size_t failed = 0;
-
-  bool clean() const { return failed == 0 && !trials.empty(); }
-};
-
 /// The scripted schedule one conformance trial runs: one storage fault
 /// against `proc`'s store, then a crash-restart of `proc`.  Exposed so the
 /// hazard tests can aim a biting plan at a rewind-unsafe protocol.
@@ -69,12 +45,14 @@ fault::FaultPlan recovery_plan(fault::FaultKind kind, sim::Proc proc,
                                bool biting, bool writes_can_batch = false);
 
 /// Run the full matrix: every case x all four storage-fault kinds x both
-/// processes.  `seed` feeds the per-trial scheduler/channel factories.
-RecoveryReport recovery_sweep(const std::vector<RecoveryCase>& cases,
-                              std::uint64_t seed);
+/// processes.  `seed` feeds the per-trial scheduler/channel factories.  A
+/// trial passes when it completes, crashed at least once and recovered
+/// from the store.
+MatrixReport recovery_sweep(const std::vector<RecoveryCase>& cases,
+                            std::uint64_t seed);
 
-/// The default matrix: every protocol family in proto/suite.hpp (plus the
-/// encoded sender/knowledge-receiver pair) on its design channel.
+/// The default matrix: the suite roster (stp/conformance.hpp) with the
+/// per-protocol rewind notes of docs/RECOVERY.md.
 std::vector<RecoveryCase> default_recovery_cases();
 
 }  // namespace stpx::stp

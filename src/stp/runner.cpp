@@ -19,65 +19,56 @@ sim::RunResult run_one(const SystemSpec& spec, const seq::Sequence& x,
   return make_engine(spec, seed).run(x);
 }
 
-namespace {
-
-void accumulate(SweepResult& agg, const sim::RunResult& r,
-                const seq::Sequence& x, std::uint64_t seed) {
-  ++agg.trials;
-  agg.total_steps += r.stats.steps;
-  agg.total_msgs_sent += r.stats.sent[0] + r.stats.sent[1];
-  agg.total_msgs_delivered += r.stats.delivered[0] + r.stats.delivered[1];
-  agg.trial_steps.push_back(r.stats.steps);
-  const auto gaps = obs::write_latencies_of(r.stats);
-  agg.write_latencies.insert(agg.write_latencies.end(), gaps.begin(),
-                             gaps.end());
-  // Classify on the structured verdict: a corrupted run can end kCompleted
-  // with safety_ok false (post-corruption garbage followed by suffix-safe
-  // convergence), so safety_ok alone no longer separates pass from fail.
-  switch (r.verdict) {
-    case sim::RunVerdict::kCompleted:
+void SweepResult::tally(sim::RunVerdict verdict, std::uint64_t steps) {
+  ++trials;
+  total_steps += steps;
+  trial_steps.push_back(steps);
+  switch (verdict) {
+    case sim::RunVerdict::kCompleted: break;
+    case sim::RunVerdict::kSafetyViolation: ++safety_failures; break;
+    case sim::RunVerdict::kRecoveryViolation: ++recovery_failures; break;
+    case sim::RunVerdict::kStabilizationViolation:
+      ++stabilization_failures;
       break;
-    case sim::RunVerdict::kSafetyViolation:
-    case sim::RunVerdict::kRecoveryViolation:
-    case sim::RunVerdict::kStabilizationViolation: {
-      const char* what =
-          r.verdict == sim::RunVerdict::kRecoveryViolation
-              ? "recovery violated safety"
-          : r.verdict == sim::RunVerdict::kStabilizationViolation
-              ? "corrupted run failed to re-converge"
-              : "safety violated";
-      if (r.verdict == sim::RunVerdict::kRecoveryViolation) {
-        ++agg.recovery_failures;
-      } else if (r.verdict == sim::RunVerdict::kStabilizationViolation) {
-        ++agg.stabilization_failures;
-      } else {
-        ++agg.safety_failures;
-      }
-      std::ostringstream os;
-      os << what << " at step " << r.first_violation_step << ": wrote "
-         << seq::to_string(r.output) << " for input " << seq::to_string(x);
-      agg.failures.push_back({x, seed, true, os.str(), r.verdict});
-      break;
-    }
     case sim::RunVerdict::kStalled:
-    case sim::RunVerdict::kBudgetExhausted: {
-      ++agg.incomplete;
-      if (r.verdict == sim::RunVerdict::kStalled) {
-        ++agg.stalled;
-      } else {
-        ++agg.exhausted;
-      }
-      std::ostringstream os;
-      os << to_cstr(r.verdict) << " after " << r.stats.steps
-         << " steps: wrote " << seq::to_string(r.output) << " of "
-         << seq::to_string(x);
-      agg.failures.push_back({x, seed, false, os.str(), r.verdict});
+      ++incomplete;
+      ++stalled;
       break;
-    }
+    case sim::RunVerdict::kBudgetExhausted:
+      ++incomplete;
+      ++exhausted;
+      break;
   }
 }
 
-}  // namespace
+void SweepResult::add(const sim::RunResult& r, std::uint64_t seed) {
+  tally(r.verdict, r.stats.steps);
+  total_msgs_sent += r.stats.sent[0] + r.stats.sent[1];
+  total_msgs_delivered += r.stats.delivered[0] + r.stats.delivered[1];
+  const auto gaps = obs::write_latencies_of(r.stats);
+  write_latencies.insert(write_latencies.end(), gaps.begin(), gaps.end());
+  // Classify on the structured verdict: a corrupted run can end kCompleted
+  // with safety_ok false (post-corruption garbage followed by suffix-safe
+  // convergence), so safety_ok alone no longer separates pass from fail.
+  if (r.verdict == sim::RunVerdict::kCompleted) return;
+  std::ostringstream os;
+  const bool safety = r.verdict != sim::RunVerdict::kStalled &&
+                      r.verdict != sim::RunVerdict::kBudgetExhausted;
+  if (safety) {
+    os << (r.verdict == sim::RunVerdict::kRecoveryViolation
+               ? "recovery violated safety"
+           : r.verdict == sim::RunVerdict::kStabilizationViolation
+               ? "corrupted run failed to re-converge"
+               : "safety violated")
+       << " at step " << r.first_violation_step << ": wrote "
+       << seq::to_string(r.output) << " for input "
+       << seq::to_string(r.input);
+  } else {
+    os << to_cstr(r.verdict) << " after " << r.stats.steps << " steps: wrote "
+       << seq::to_string(r.output) << " of " << seq::to_string(r.input);
+  }
+  failures.push_back({r.input, seed, safety, os.str(), r.verdict});
+}
 
 void SweepResult::merge(const SweepResult& other) {
   trials += other.trials;
@@ -103,7 +94,7 @@ SweepResult sweep_family(const SystemSpec& spec, const seq::Family& family,
   SweepResult agg;
   for (const seq::Sequence& x : family.members) {
     for (std::uint64_t seed : seeds) {
-      accumulate(agg, run_one(spec, x, seed), x, seed);
+      agg.add(run_one(spec, x, seed), seed);
     }
   }
   return agg;
@@ -113,7 +104,7 @@ SweepResult sweep_input(const SystemSpec& spec, const seq::Sequence& x,
                         const std::vector<std::uint64_t>& seeds) {
   SweepResult agg;
   for (std::uint64_t seed : seeds) {
-    accumulate(agg, run_one(spec, x, seed), x, seed);
+    agg.add(run_one(spec, x, seed), seed);
   }
   return agg;
 }
@@ -123,9 +114,7 @@ obs::SweepReport report_of(const std::string& name, const SweepResult& r) {
   rep.name = name;
   rep.trials = r.trials;
   rep.ok = r.all_ok();
-  rep.verdicts.completed = r.trials - r.safety_failures -
-                           r.recovery_failures - r.stabilization_failures -
-                           r.stalled - r.exhausted;
+  rep.verdicts.completed = r.completed();
   rep.verdicts.safety_violation = r.safety_failures;
   rep.verdicts.recovery_violation = r.recovery_failures;
   rep.verdicts.stabilization_violation = r.stabilization_failures;

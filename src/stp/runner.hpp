@@ -67,6 +67,11 @@ struct SweepResult {
   std::vector<std::uint64_t> write_latencies;
   std::vector<std::uint64_t> trial_steps;
 
+  /// Trials that ended kCompleted.
+  std::size_t completed() const {
+    return trials - safety_failures - recovery_failures -
+           stabilization_failures - stalled - exhausted;
+  }
   bool all_ok() const {
     return safety_failures == 0 && recovery_failures == 0 &&
            stabilization_failures == 0 && incomplete == 0;
@@ -82,6 +87,12 @@ struct SweepResult {
                              static_cast<double>(trials);
   }
 
+  /// Count one trial: its verdict and its step cost.  The one place a
+  /// verdict maps to a counter.
+  void tally(sim::RunVerdict verdict, std::uint64_t steps);
+  /// Fold one run of `r.input` under `seed`: tally() plus message counts,
+  /// write latencies and, for a failed run, a TrialFailure.
+  void add(const sim::RunResult& r, std::uint64_t seed);
   /// Fold another sweep into this one (bench binaries aggregate the sweeps
   /// of all their parameter points into one report).
   void merge(const SweepResult& other);

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "stp/ddmin.hpp"
 #include "util/expect.hpp"
 
 namespace stpx::stp {
@@ -52,27 +53,7 @@ SoakReport soak_sweep(const std::string& protocol, const SystemSpec& spec,
     for (std::uint64_t seed : cfg.seeds) {
       const fault::FaultPlan plan = plan_for_trial(seed, cfg.sampler);
       const sim::RunResult r = run_one(with_chaos(spec, plan), x, seed);
-      ++report.trials;
-      report.total_steps += r.stats.steps;
-      report.total_msgs_sent += r.stats.sent[0] + r.stats.sent[1];
-      report.trial_steps.push_back(r.stats.steps);
-      const auto gaps = obs::write_latencies_of(r.stats);
-      report.write_latencies.insert(report.write_latencies.end(), gaps.begin(),
-                                    gaps.end());
-      switch (r.verdict) {
-        case sim::RunVerdict::kCompleted: ++report.completed; break;
-        case sim::RunVerdict::kSafetyViolation:
-          ++report.safety_violations;
-          break;
-        case sim::RunVerdict::kRecoveryViolation:
-          ++report.recovery_violations;
-          break;
-        case sim::RunVerdict::kStabilizationViolation:
-          ++report.stabilization_violations;
-          break;
-        case sim::RunVerdict::kStalled: ++report.stalled; break;
-        case sim::RunVerdict::kBudgetExhausted: ++report.exhausted; break;
-      }
+      report.sweep.add(r, seed);
       if (failing(r.verdict)) {
         report.failures.push_back(
             {protocol, x, seed, plan, r.verdict, describe(r)});
@@ -109,46 +90,34 @@ MinimizedPlan minimize_plan(const SystemSpec& spec, const SoakFailure& f) {
     return safety_class ? v == v0 : failing(v);
   };
 
-  // Greedy ddmin to a fixpoint: alternately try deleting whole actions and
-  // halving numeric fields; keep any candidate that still fails.  Runs are
-  // deterministic, so the fixpoint is 1-minimal: removing any remaining
-  // action (or halving any remaining field) yields a passing schedule.
-  bool changed = true;
-  while (changed) {
-    changed = false;
+  // Greedy ddmin to a fixpoint: delete whole actions until none can go,
+  // then halve the first numeric field whose halving still fails, and
+  // repeat.  Runs are deterministic, so the fixpoint is 1-minimal: removing
+  // any remaining action (or halving any remaining field) yields a passing
+  // schedule.
+  auto halve = [&](std::size_t i, auto field) {
+    fault::FaultPlan candidate = out.plan;
+    std::uint64_t& v = field(candidate.actions[i]);
+    if (v <= 1) return false;
+    v /= 2;
+    if (!probe(candidate)) return false;
+    out.plan = std::move(candidate);
+    return true;
+  };
+  auto halve_one_field = [&] {
     for (std::size_t i = 0; i < out.plan.actions.size(); ++i) {
-      fault::FaultPlan candidate = out.plan;
-      candidate.actions.erase(candidate.actions.begin() +
-                              static_cast<std::ptrdiff_t>(i));
-      if (probe(candidate)) {
-        out.plan = std::move(candidate);
-        changed = true;
-        break;
+      if (halve(i, [](fault::FaultAction& a) -> auto& { return a.count; }) ||
+          halve(i, [](fault::FaultAction& a) -> auto& { return a.duration; }) ||
+          halve(i,
+                [](fault::FaultAction& a) -> auto& { return a.trigger.at; })) {
+        return true;
       }
     }
-    if (changed) continue;
-    for (std::size_t i = 0; i < out.plan.actions.size() && !changed; ++i) {
-      auto try_field = [&](std::uint64_t fault::FaultAction::* field) {
-        if (changed || out.plan.actions[i].*field <= 1) return;
-        fault::FaultPlan candidate = out.plan;
-        candidate.actions[i].*field /= 2;
-        if (probe(candidate)) {
-          out.plan = std::move(candidate);
-          changed = true;
-        }
-      };
-      try_field(&fault::FaultAction::count);
-      try_field(&fault::FaultAction::duration);
-      if (!changed && out.plan.actions[i].trigger.at > 1) {
-        fault::FaultPlan candidate = out.plan;
-        candidate.actions[i].trigger.at /= 2;
-        if (probe(candidate)) {
-          out.plan = std::move(candidate);
-          changed = true;
-        }
-      }
-    }
-  }
+    return false;
+  };
+  do {
+    remove_actions_to_fixpoint(out.plan, probe);
+  } while (halve_one_field());
   out.verdict = run(out.plan);
   return out;
 }
@@ -174,24 +143,6 @@ std::vector<DedupedFailure> dedup_failures(
     }
   }
   return out;
-}
-
-obs::SweepReport report_of(const SoakReport& r) {
-  obs::SweepReport rep;
-  rep.name = r.protocol;
-  rep.trials = r.trials;
-  rep.ok = r.clean();
-  rep.verdicts.completed = r.completed;
-  rep.verdicts.safety_violation = r.safety_violations;
-  rep.verdicts.recovery_violation = r.recovery_violations;
-  rep.verdicts.stabilization_violation = r.stabilization_violations;
-  rep.verdicts.stalled = r.stalled;
-  rep.verdicts.budget_exhausted = r.exhausted;
-  rep.total_steps = r.total_steps;
-  rep.total_msgs_sent = r.total_msgs_sent;
-  rep.write_latency_samples = r.write_latencies;
-  rep.trial_step_samples = r.trial_steps;
-  return rep;
 }
 
 }  // namespace stpx::stp

@@ -41,23 +41,10 @@ struct SoakFailure {
 
 struct SoakReport {
   std::string protocol;
-  std::size_t trials = 0;
-  std::size_t completed = 0;
-  std::size_t safety_violations = 0;
-  /// Post-crash safety violations (RunVerdict::kRecoveryViolation): the
-  /// recovery path, not the protocol logic, produced the bad write.
-  std::size_t recovery_violations = 0;
-  /// Corrupted runs that failed the suffix-safety convergence criterion
-  /// (RunVerdict::kStabilizationViolation; see docs/STABILIZATION.md).
-  std::size_t stabilization_violations = 0;
-  std::size_t stalled = 0;
-  std::size_t exhausted = 0;
+  /// Verdict tally and cost samples, folded per trial like any sweep
+  /// (report_of(protocol, sweep) condenses it for a bench report).
+  SweepResult sweep;
   std::vector<SoakFailure> failures;
-  /// Cost + observability aggregates across every trial (for report_of).
-  std::uint64_t total_steps = 0;
-  std::uint64_t total_msgs_sent = 0;
-  std::vector<std::uint64_t> write_latencies;
-  std::vector<std::uint64_t> trial_steps;
 
   /// Safety never violated AND the watchdog never fired AND no budget ran
   /// out: the protocol rode out every sampled schedule.
@@ -109,9 +96,5 @@ struct DedupedFailure {
 /// Order follows first appearance; every witness replays deterministically.
 std::vector<DedupedFailure> dedup_failures(
     const SystemSpec& spec, const std::vector<SoakFailure>& failures);
-
-/// Condense a soak into the machine-readable report schema; `ok` is set
-/// from clean().
-obs::SweepReport report_of(const SoakReport& r);
 
 }  // namespace stpx::stp

@@ -5,14 +5,7 @@
 #include <utility>
 
 #include "channel/del_channel.hpp"
-#include "channel/dup_channel.hpp"
-#include "channel/fifo_channel.hpp"
-#include "channel/schedulers.hpp"
-#include "channel/sync_channel.hpp"
-#include "proto/encoded.hpp"
 #include "proto/suite.hpp"
-#include "seq/encoding.hpp"
-#include "seq/family.hpp"
 #include "util/expect.hpp"
 
 namespace stpx::stp {
@@ -30,19 +23,28 @@ sim::EngineConfig trial_engine() {
   return cfg;
 }
 
-std::function<std::unique_ptr<sim::IScheduler>(std::uint64_t)>
-fair_scheduler() {
-  return [](std::uint64_t seed) {
-    return std::make_unique<channel::FairRandomScheduler>(seed);
-  };
-}
-
 std::size_t kind_index(fault::FaultKind kind) {
   for (std::size_t i = 0; i < kCorruptionKindCount; ++i) {
     if (kCorruptionKinds[i] == kind) return i;
   }
   STPX_EXPECT(false, "kind_index: not a corruption kind");
   return 0;  // unreachable
+}
+
+std::string judge(const StabilizationCase& c, fault::FaultKind kind,
+                  sim::Proc proc, const sim::RunResult& r) {
+  const sim::RunVerdict expected =
+      c.expected[kind_index(kind)][proc == sim::Proc::kSender ? 0 : 1];
+  if (r.verdict == expected) return {};
+  std::ostringstream os;
+  os << c.name << " x " << fault::to_cstr(kind) << " proc "
+     << sim::to_cstr(proc) << " -> " << sim::to_cstr(r.verdict)
+     << " (pinned " << sim::to_cstr(expected) << ") corruptions="
+     << r.stats.corruptions << " scrambles=" << r.stats.scrambles_applied
+     << "/" << r.stats.scrambles_rejected << " after " << r.stats.steps
+     << " steps, wrote " << seq::to_string(r.output) << " of "
+     << seq::to_string(r.input);
+  return os.str();
 }
 
 }  // namespace
@@ -79,215 +81,75 @@ fault::FaultPlan stabilization_plan(fault::FaultKind kind, sim::Proc proc) {
   return plan;
 }
 
-StabilizationReport stabilization_sweep(
-    const std::vector<StabilizationCase>& cases, std::uint64_t seed) {
-  StabilizationReport report;
-  for (const StabilizationCase& c : cases) {
-    for (fault::FaultKind kind : kCorruptionKinds) {
-      for (sim::Proc proc : {sim::Proc::kSender, sim::Proc::kReceiver}) {
-        const fault::FaultPlan plan = stabilization_plan(kind, proc);
-        const sim::RunResult r = run_one(with_chaos(c.spec, plan), c.input,
-                                         seed);
-
-        StabilizationTrial t;
-        t.protocol = c.name;
-        t.kind = kind;
-        t.proc = proc;
-        t.expected =
-            c.expected[kind_index(kind)][proc == sim::Proc::kSender ? 0 : 1];
-        t.verdict = r.verdict;
-        t.converged = r.converged;
-        t.corruptions = r.stats.corruptions;
-        t.scrambles_applied = r.stats.scrambles_applied;
-        t.scrambles_rejected = r.stats.scrambles_rejected;
-        t.steps = r.stats.steps;
-        if (t.verdict == t.expected) {
-          ++report.matched;
-        } else {
-          ++report.mismatched;
-          std::ostringstream os;
-          os << c.name << " x " << fault::to_cstr(kind) << " proc "
-             << sim::to_cstr(proc) << " -> " << sim::to_cstr(r.verdict)
-             << " (pinned " << sim::to_cstr(t.expected) << ") corruptions="
-             << t.corruptions << " scrambles=" << t.scrambles_applied << "/"
-             << t.scrambles_rejected << " after " << t.steps
-             << " steps, wrote " << seq::to_string(r.output) << " of "
-             << seq::to_string(r.input);
-          t.detail = os.str();
-        }
-        report.trials.push_back(std::move(t));
-      }
-    }
-  }
-  return report;
+MatrixReport stabilization_sweep(const std::vector<StabilizationCase>& cases,
+                                 std::uint64_t seed) {
+  Matrix<StabilizationCase> m;
+  m.kinds = kCorruptionKinds;
+  m.plan = [](const StabilizationCase&, fault::FaultKind kind,
+              sim::Proc proc) { return stabilization_plan(kind, proc); };
+  m.judge = judge;
+  return run_matrix(cases, m, seed);
 }
 
 std::vector<StabilizationCase> default_stabilization_cases() {
   std::vector<StabilizationCase> cases;
-  const seq::Sequence six{0, 1, 2, 3, 4, 5};
-  constexpr sim::RunVerdict kDone = sim::RunVerdict::kCompleted;
+  for (ProtocolCase& p : suite_roster(trial_engine())) {
+    cases.push_back({std::move(p)});
+  }
+  // ---- the hardened protocol, first row: pinned kCompleted in every cell
+  // (the pin matrix default).  Checksummed ids shed corrupt/forged traffic
+  // and the sealed checkpoint rejects scrambles, so every cell
+  // re-converges.
+  // It takes the roster's scheduler and engine from its first entry.
+  StabilizationCase hardened{
+      {"hardened", cases.front().spec, seq::Sequence{0, 1, 2, 3, 4, 5}}};
+  hardened.spec.protocols = [] { return proto::make_hardened(6); };
+  hardened.spec.channel = [](std::uint64_t seed) {
+    return std::make_unique<channel::DelChannel>(0.2, seed);
+  };
+  cases.insert(cases.begin(), std::move(hardened));
+
+  // ---- the un-hardened suite.  Pins record the *measured*, deterministic
+  // outcome of each cell (seed 2026; see docs/STABILIZATION.md for the
+  // per-protocol analysis); stenning, abp, block and hybrid re-converge in
+  // every cell.  A pin lists one {sender, receiver} pair per row of
+  // kCorruptionKinds: corrupt-payload, forge-message, scramble-state.
+  constexpr sim::RunVerdict kOk = sim::RunVerdict::kCompleted;
   constexpr sim::RunVerdict kStall = sim::RunVerdict::kStalled;
   constexpr sim::RunVerdict kDiverge = sim::RunVerdict::kStabilizationViolation;
-  // Cell order mirrors kCorruptionKinds:
-  //   row 0 corrupt-payload, row 1 forge-message, row 2 scramble-state;
-  //   column 0 targets the sender, column 1 the receiver.
-  auto add = [&](std::string name,
-                 std::function<proto::ProtocolPair()> protocols,
-                 std::function<std::unique_ptr<sim::IChannel>(std::uint64_t)>
-                     channel,
-                 seq::Sequence input,
-                 std::initializer_list<sim::RunVerdict> pins = {}) {
-    StabilizationCase c;
-    c.name = std::move(name);
-    c.spec.protocols = std::move(protocols);
-    c.spec.channel = std::move(channel);
-    c.spec.scheduler = fair_scheduler();
-    c.spec.engine = trial_engine();
-    c.input = std::move(input);
-    if (pins.size() != 0) {
-      STPX_EXPECT(pins.size() == kCorruptionKindCount * 2,
-                  "default_stabilization_cases: pin matrix must have 6 cells");
-      auto it = pins.begin();
-      for (std::size_t k = 0; k < kCorruptionKindCount; ++k) {
-        for (std::size_t p = 0; p < 2; ++p) c.expected[k][p] = *it++;
-      }
+  auto pin = [&](std::string_view name,
+                 const sim::RunVerdict (&cells)[kCorruptionKindCount][2]) {
+    StabilizationCase& c = case_named(cases, name);
+    for (std::size_t k = 0; k < kCorruptionKindCount; ++k) {
+      for (std::size_t p = 0; p < 2; ++p) c.expected[k][p] = cells[k][p];
     }
-    cases.push_back(std::move(c));
   };
-
-  // ---- the hardened protocol: pinned kCompleted in every cell (the pin
-  // matrix default).  Checksummed ids shed corrupt/forged traffic and the
-  // sealed checkpoint rejects scrambles, so every cell re-converges.
-  add("hardened", [] { return proto::make_hardened(6); },
-      [](std::uint64_t seed) {
-        return std::make_unique<channel::DelChannel>(0.2, seed);
-      },
-      six);
-
-  // ---- the un-hardened suite.  Pins below record the *measured*,
-  // deterministic outcome of each cell (seed 2026; see
-  // docs/STABILIZATION.md for the per-protocol analysis).
-  add("stenning", [] { return proto::make_stenning(6); },
-      [](std::uint64_t seed) {
-        return std::make_unique<channel::DelChannel>(0.3, seed);
-      },
-      six,
-      {kDone, kDone,
-       kDone, kDone,
-       kDone, kDone});
-  add("abp", [] { return proto::make_abp(6); },
-      [](std::uint64_t seed) {
-        return std::make_unique<channel::FifoChannel>(0.2, 0.1, seed);
-      },
-      six,
-      {kDone, kDone,
-       kDone, kDone,
-       kDone, kDone});
   // A scrambled sender cursor jumps past the receiver's frontier; with only
   // mod-K tags there is no cumulative ack to walk it back: livelock.
-  add("modk-stenning", [] { return proto::make_modk_stenning(6, 3); },
-      [](std::uint64_t seed) {
-        return std::make_unique<channel::FifoChannel>(0.2, 0.1, seed);
-      },
-      six,
-      {kDone, kDone,
-       kDone, kDone,
-       kStall, kDone});
+  pin("modk-stenning", {{kOk, kOk}, {kOk, kOk}, {kStall, kOk}});
   // Content IS the header here, so a forged in-alphabet id is believed on
   // either side: the receiver writes it out of order, the sender takes it
   // as a premature ack — both diverge past the convergence window.
-  add("repfree-dup", [] { return proto::make_repfree_dup(6); },
-      [](std::uint64_t) { return std::make_unique<channel::DupChannel>(); },
-      six,
-      {kDone, kDone,
-       kDiverge, kDiverge,
-       kDone, kDone});
+  pin("repfree-dup", {{kOk, kOk}, {kDiverge, kDiverge}, {kOk, kOk}});
   // Same forged-ack hazard as repfree-dup on the receiver side; a scrambled
   // sender cursor additionally livelocks (the W = a+1 stall of
   // docs/RECOVERY.md, reached by corruption instead of a rewind).
-  add("repfree-del", [] { return proto::make_repfree_del(6); },
-      [](std::uint64_t seed) {
-        return std::make_unique<channel::DelChannel>(0.3, seed);
-      },
-      six,
-      {kDone, kDone,
-       kDone, kDiverge,
-       kStall, kDone});
+  pin("repfree-del", {{kOk, kOk}, {kOk, kDiverge}, {kStall, kOk}});
   // The cumulative ack is trusted verbatim: a mangled or forged ack larger
   // than the frontier fast-forwards the sender past items the receiver
   // never saw, and nothing ever walks it back.
-  add("go-back-n", [] { return proto::make_go_back_n(6, 3); },
-      [](std::uint64_t seed) {
-        return std::make_unique<channel::DelChannel>(0.3, seed);
-      },
-      six,
-      {kStall, kDone,
-       kStall, kDone,
-       kDone, kDone});
+  pin("go-back-n", {{kStall, kOk}, {kStall, kOk}, {kOk, kOk}});
   // A forged per-item ack marks an unsent item as delivered; the sender
   // never retransmits it and the receiver waits forever.
-  add("selective-repeat", [] { return proto::make_selective_repeat(6, 3); },
-      [](std::uint64_t seed) {
-        return std::make_unique<channel::DelChannel>(0.3, seed);
-      },
-      six,
-      {kDone, kDone,
-       kStall, kDone,
-       kDone, kDone});
-  add("block", [] { return proto::make_block(4, 2, 12); },
-      [](std::uint64_t seed) {
-        return std::make_unique<channel::FifoChannel>(0.2, 0.0, seed);
-      },
-      seq::Sequence{0, 1, 2, 3, 1, 2},
-      {kDone, kDone,
-       kDone, kDone,
-       kDone, kDone});
-  add("hybrid", [] { return proto::make_hybrid(6, 8); },
-      [](std::uint64_t seed) {
-        return std::make_unique<channel::FifoChannel>(0.1, 0.0, seed);
-      },
-      six,
-      {kDone, kDone,
-       kDone, kDone,
-       kDone, kDone});
-  {
-    seq::Family fam;
-    fam.domain = seq::Domain{6};
-    for (std::size_t len = 0; len <= six.size(); ++len) {
-      fam.members.emplace_back(six.begin(),
-                               six.begin() + static_cast<std::ptrdiff_t>(len));
-    }
-    auto enc = seq::try_build_encoding(fam, 6);
-    STPX_EXPECT(enc.has_value(), "chain-family encoding must exist");
-    auto table = std::make_shared<const seq::Encoding>(std::move(*enc));
-    add("encoded-knowledge",
-        [table] {
-          return proto::ProtocolPair{
-              std::make_unique<proto::EncodedSender>(table,
-                                                     /*retransmit=*/false),
-              std::make_unique<proto::KnowledgeReceiver>(table,
-                                                         /*reack=*/false)};
-        },
-        [](std::uint64_t) { return std::make_unique<channel::DupChannel>(); },
-        six,
-        // A forged word symbol poisons the prefix-trie decode on either
-        // side (the send-once sender waits for an ack that never matches,
-        // the receiver's candidate set goes empty); a scrambled receiver
-        // loses received_ and the send-once sender never re-sends.
-        {kDone, kDone,
-         kStall, kStall,
-         kDone, kStall});
-  }
+  pin("selective-repeat", {{kOk, kOk}, {kStall, kOk}, {kOk, kOk}});
+  // A forged word symbol poisons the prefix-trie decode on either side (the
+  // send-once sender waits for an ack that never matches, the receiver's
+  // candidate set goes empty); a scrambled receiver loses received_ and the
+  // send-once sender never re-sends.
+  pin("encoded-knowledge", {{kOk, kOk}, {kStall, kStall}, {kOk, kStall}});
   // A scrambled sender cursor desynchronizes the headerless lockstep; the
   // receiver cannot name what it is missing, so the run livelocks.
-  add("sync-stop-wait", [] { return proto::make_sync_stop_wait(6); },
-      [](std::uint64_t seed) {
-        return std::make_unique<channel::SyncLossChannel>(0.2, seed);
-      },
-      six,
-      {kDone, kDone,
-       kDone, kDone,
-       kStall, kDone});
+  pin("sync-stop-wait", {{kOk, kOk}, {kOk, kOk}, {kStall, kOk}});
   return cases;
 }
 

@@ -25,7 +25,7 @@
 #pragma once
 
 #include "fault/plan.hpp"
-#include "stp/soak.hpp"
+#include "stp/conformance.hpp"
 
 namespace stpx::stp {
 
@@ -38,10 +38,7 @@ constexpr fault::FaultKind kCorruptionKinds[] = {
 constexpr std::size_t kCorruptionKindCount = 3;
 
 /// One protocol entry in the conformance matrix.
-struct StabilizationCase {
-  std::string name;
-  SystemSpec spec;
-  seq::Sequence input;
+struct StabilizationCase : ProtocolCase {
   /// Pinned expected verdict per cell, indexed [kind][proc] with `kind`
   /// following kCorruptionKinds and `proc` 0 = sender, 1 = receiver.
   /// Defaults to "every cell re-converges"; cases override the cells where
@@ -53,30 +50,6 @@ struct StabilizationCase {
   };
 };
 
-struct StabilizationTrial {
-  std::string protocol;
-  fault::FaultKind kind = fault::FaultKind::kCorruptPayload;
-  /// The targeted process: the scramble victim, or the process whose
-  /// *incoming* traffic is corrupted/forged.
-  sim::Proc proc = sim::Proc::kSender;
-  sim::RunVerdict expected = sim::RunVerdict::kCompleted;
-  sim::RunVerdict verdict = sim::RunVerdict::kBudgetExhausted;
-  bool converged = false;
-  std::uint64_t corruptions = 0;
-  std::uint64_t scrambles_applied = 0;
-  std::uint64_t scrambles_rejected = 0;
-  std::uint64_t steps = 0;
-  std::string detail;  // non-empty iff the trial missed its pin
-};
-
-struct StabilizationReport {
-  std::vector<StabilizationTrial> trials;
-  std::size_t matched = 0;
-  std::size_t mismatched = 0;
-
-  bool clean() const { return mismatched == 0 && !trials.empty(); }
-};
-
 /// The scripted schedule one conformance trial runs: a single corruption
 /// aimed at `proc`, armed once two items are on the output tape (so there
 /// is a correct prefix to diverge from).  Exposed so tests can aim a cell's
@@ -85,13 +58,13 @@ fault::FaultPlan stabilization_plan(fault::FaultKind kind, sim::Proc proc);
 
 /// Run the full matrix: every case x all three corruption kinds x both
 /// target processes.  `seed` feeds the per-trial scheduler/channel
-/// factories; runs are deterministic per (case, kind, proc, seed).
-StabilizationReport stabilization_sweep(
-    const std::vector<StabilizationCase>& cases, std::uint64_t seed);
+/// factories; runs are deterministic per (case, kind, proc, seed).  A
+/// trial passes when its verdict is exactly the cell's pin.
+MatrixReport stabilization_sweep(const std::vector<StabilizationCase>& cases,
+                                 std::uint64_t seed);
 
-/// The default matrix: every protocol family in proto/suite.hpp (plus the
-/// encoded sender/knowledge-receiver pair) on its design channel, plus the
-/// hardened protocol, with the expected-verdict pins of
+/// The default matrix: the hardened protocol followed by the suite roster
+/// (stp/conformance.hpp), with the expected-verdict pins of
 /// docs/STABILIZATION.md.
 std::vector<StabilizationCase> default_stabilization_cases();
 

@@ -590,7 +590,7 @@ stp::FabricSoakConfig soak_base(std::size_t sessions, std::size_t len) {
 
 TEST(FabricSoak, ScriptedCrashPlanRidesOut) {
   auto cfg = soak_base(16, 12);
-  cfg.plan.actions.push_back({stp::FabricFaultKind::kBackendCrash, 2,
+  cfg.plan.actions.push_back({fault::FabricFaultKind::kBackendCrash, 2,
                               std::chrono::milliseconds(10), {}, {}, {}});
   const auto res = stp::run_fabric_soak(cfg);
   EXPECT_TRUE(res.ok) << res.failure;
@@ -603,14 +603,14 @@ TEST(FabricSoak, ScriptedCrashPlanRidesOut) {
 }
 
 TEST(FabricSoak, PlanToStringIsReadable) {
-  stp::FabricFaultPlan plan;
-  EXPECT_EQ(stp::to_string(plan), "-");
-  plan.actions.push_back({stp::FabricFaultKind::kBackendCrash, 2,
+  fault::FabricFaultPlan plan;
+  EXPECT_EQ(fault::to_text(plan), "-");
+  plan.actions.push_back({fault::FabricFaultKind::kBackendCrash, 2,
                           std::chrono::milliseconds(20), {}, {}, {}});
-  plan.actions.push_back({stp::FabricFaultKind::kProbeBlackout, 1,
+  plan.actions.push_back({fault::FabricFaultKind::kProbeBlackout, 1,
                           std::chrono::milliseconds(5),
                           std::chrono::milliseconds(80), {}, {}});
-  EXPECT_EQ(stp::to_string(plan),
+  EXPECT_EQ(fault::to_text(plan),
             "backend-crash@20ms b2; probe-blackout@5ms+80ms b1");
 }
 
@@ -618,14 +618,14 @@ TEST(FabricSoak, SampledPlansAreDeterministicAndBounded) {
   for (std::uint64_t seed = 1; seed <= 32; ++seed) {
     const auto a = stp::sample_fabric_plan(seed, 3);
     const auto b = stp::sample_fabric_plan(seed, 3);
-    EXPECT_EQ(stp::to_string(a), stp::to_string(b));
+    EXPECT_EQ(fault::to_text(a), fault::to_text(b));
     ASSERT_GE(a.actions.size(), 1u);
     ASSERT_LE(a.actions.size(), 3u);
     std::size_t crashes = 0;
     for (const auto& act : a.actions) {
       EXPECT_GE(act.backend, 1u);
       EXPECT_LE(act.backend, 3u);
-      if (act.kind == stp::FabricFaultKind::kBackendCrash) ++crashes;
+      if (act.kind == fault::FabricFaultKind::kBackendCrash) ++crashes;
     }
     EXPECT_LE(crashes, 2u);  // a survivor always exists
   }
@@ -638,7 +638,7 @@ TEST(FabricSoak, SweepOfSampledPlansIsClean) {
   std::string why;
   for (const auto& f : rep.failures) {
     why += " seed=" + std::to_string(f.seed) + " plan=[" +
-           stp::to_string(f.plan) + "] " + f.failure;
+           fault::to_text(f.plan) + "] " + f.failure;
   }
   EXPECT_TRUE(rep.clean()) << why;
   EXPECT_EQ(rep.completed_trials, 3u);
@@ -652,13 +652,13 @@ TEST(FabricSoak, MinimizeShrinksAFailingPlanToItsCore) {
   stp::FabricSoakConfig cfg = soak_base(4, 6);
   cfg.backends = 2;
   cfg.drain_timeout = 3s;
-  stp::FabricFaultPlan failing;
-  failing.actions.push_back({stp::FabricFaultKind::kProbeBlackout, 1,
+  fault::FabricFaultPlan failing;
+  failing.actions.push_back({fault::FabricFaultKind::kProbeBlackout, 1,
                              std::chrono::milliseconds(2),
                              std::chrono::milliseconds(20), {}, {}});
-  failing.actions.push_back({stp::FabricFaultKind::kBackendCrash, 1,
+  failing.actions.push_back({fault::FabricFaultKind::kBackendCrash, 1,
                              std::chrono::milliseconds(8), {}, {}, {}});
-  failing.actions.push_back({stp::FabricFaultKind::kBackendCrash, 2,
+  failing.actions.push_back({fault::FabricFaultKind::kBackendCrash, 2,
                              std::chrono::milliseconds(14), {}, {}, {}});
   cfg.plan = failing;
   ASSERT_FALSE(stp::run_fabric_soak(cfg).ok);
@@ -666,9 +666,9 @@ TEST(FabricSoak, MinimizeShrinksAFailingPlanToItsCore) {
   const auto min = stp::minimize_fabric_plan(cfg, failing);
   ASSERT_EQ(min.plan.actions.size(), 2u);
   EXPECT_EQ(min.plan.actions[0].kind,
-            stp::FabricFaultKind::kBackendCrash);
+            fault::FabricFaultKind::kBackendCrash);
   EXPECT_EQ(min.plan.actions[1].kind,
-            stp::FabricFaultKind::kBackendCrash);
+            fault::FabricFaultKind::kBackendCrash);
   EXPECT_GE(min.probe_runs, 3u);
 }
 
@@ -681,7 +681,7 @@ TEST(FabricAcceptance, CrashRehomed256SessionsAttestedAgainstLiveVerdicts) {
   // The full width drains in ~1s on an idle core but can stretch past a
   // minute under load on a single-core runner.
   cfg.drain_timeout = std::chrono::milliseconds(240'000);
-  cfg.plan.actions.push_back({stp::FabricFaultKind::kBackendCrash, 1,
+  cfg.plan.actions.push_back({fault::FabricFaultKind::kBackendCrash, 1,
                               std::chrono::milliseconds(15), {}, {}, {}});
   const auto res = stp::run_fabric_soak(cfg);
   EXPECT_TRUE(res.ok) << res.failure;

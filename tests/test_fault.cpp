@@ -79,6 +79,21 @@ TEST(FaultPlan, ParserRejectsGarbage) {
   EXPECT_THROW(plan_from_text("drop @step 3 dir XX"), ContractError);
   EXPECT_THROW(plan_from_text("drop @step 3 wibble 4"), ContractError);
   EXPECT_THROW(plan_from_text("torn-write @step 3 proc nobody"), ContractError);
+  // Every number is read whole and range-checked: no wrap-around of a
+  // negative, no out-of-range value, no trailing characters.
+  EXPECT_THROW(plan_from_text("drop @step -1 dir SR count 1 match *"),
+               ContractError);
+  EXPECT_THROW(plan_from_text("drop @step 99999999999999999999"),
+               ContractError);
+  EXPECT_THROW(plan_from_text("drop @step 3x"), ContractError);
+  EXPECT_THROW(plan_from_text("drop @step 3 count -2"), ContractError);
+  EXPECT_THROW(plan_from_text("drop @step 3 count"), ContractError);
+  EXPECT_THROW(plan_from_text("blackout @step 3 len +4"), ContractError);
+  EXPECT_THROW(plan_from_text("drop @step 3 match abc"), ContractError);
+  EXPECT_THROW(plan_from_text("drop @step 3 match 1x"), ContractError);
+  EXPECT_THROW(plan_from_text("drop @step 3 match 99999999999999999999"),
+               ContractError);
+  EXPECT_EQ(plan_from_text("drop @step 3 match 7").actions[0].match, 7);
 }
 
 TEST(FaultPlan, ParserSkipsCommentsAndBlanks) {

@@ -352,12 +352,12 @@ TEST(Report, SoakReportCarriesObservabilityAggregates) {
   cfg.seeds = {1, 2, 3};
   const auto rep =
       stp::soak_sweep("repfree-del", repfree_del_spec(4), {iota(4)}, cfg);
-  EXPECT_GT(rep.trials, 0u);
-  EXPECT_GT(rep.total_steps, 0u);
-  EXPECT_EQ(rep.trial_steps.size(), rep.trials);
+  EXPECT_GT(rep.sweep.trials, 0u);
+  EXPECT_GT(rep.sweep.total_steps, 0u);
+  EXPECT_EQ(rep.sweep.trial_steps.size(), rep.sweep.trials);
 
-  const SweepReport sweep = stp::report_of(rep);
-  EXPECT_EQ(sweep.trials, rep.trials);
+  const SweepReport sweep = stp::report_of(rep.protocol, rep.sweep);
+  EXPECT_EQ(sweep.trials, rep.sweep.trials);
   EXPECT_TRUE(json_valid(sweep.to_json()));
 }
 

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -484,17 +485,87 @@ TEST(Conformance, RecoveryPlanShape) {
       ContractError);
 }
 
+/// Every trial of the default matrix at seed 2026, in sweep order, one
+/// line per (protocol, fault): "protocol fault", then the verdict and step
+/// count of the sender-targeted trial, then of the receiver-targeted one.
+/// The step counts pin the schedules: a harness change that reorders cells
+/// or perturbs a run's interleaving fails here even when every verdict
+/// stays the same.
+const char* const kRecoveryMatrixGolden[] = {
+    "stenning torn-write completed 103 completed 103",
+    "stenning lose-tail completed 103 completed 103",
+    "stenning corrupt-record completed 103 completed 103",
+    "stenning stale-snapshot completed 103 completed 103",
+    "abp torn-write completed 70 completed 70",
+    "abp lose-tail completed 70 completed 70",
+    "abp corrupt-record completed 70 completed 70",
+    "abp stale-snapshot completed 70 completed 70",
+    "modk-stenning torn-write completed 80 completed 80",
+    "modk-stenning lose-tail completed 80 completed 80",
+    "modk-stenning corrupt-record completed 80 completed 80",
+    "modk-stenning stale-snapshot completed 80 completed 80",
+    "repfree-dup torn-write completed 192 completed 192",
+    "repfree-dup lose-tail completed 192 completed 192",
+    "repfree-dup corrupt-record completed 192 completed 192",
+    "repfree-dup stale-snapshot completed 192 completed 192",
+    "repfree-del torn-write completed 67 completed 67",
+    "repfree-del lose-tail completed 67 completed 67",
+    "repfree-del corrupt-record completed 67 completed 67",
+    "repfree-del stale-snapshot completed 67 completed 67",
+    "go-back-n torn-write completed 52 completed 52",
+    "go-back-n lose-tail completed 52 completed 52",
+    "go-back-n corrupt-record completed 52 completed 52",
+    "go-back-n stale-snapshot completed 52 completed 52",
+    "selective-repeat torn-write completed 67 completed 76",
+    "selective-repeat lose-tail completed 67 completed 65",
+    "selective-repeat corrupt-record completed 67 completed 65",
+    "selective-repeat stale-snapshot completed 67 completed 76",
+    "block torn-write completed 49 completed 49",
+    "block lose-tail completed 91 completed 48",
+    "block corrupt-record completed 91 completed 48",
+    "block stale-snapshot completed 49 completed 49",
+    "hybrid torn-write completed 49 completed 42",
+    "hybrid lose-tail completed 42 completed 50",
+    "hybrid corrupt-record completed 42 completed 50",
+    "hybrid stale-snapshot completed 42 completed 42",
+    "encoded-knowledge torn-write completed 192 completed 192",
+    "encoded-knowledge lose-tail completed 192 completed 192",
+    "encoded-knowledge corrupt-record completed 192 completed 192",
+    "encoded-knowledge stale-snapshot completed 192 completed 192",
+    "sync-stop-wait torn-write completed 25 completed 25",
+    "sync-stop-wait lose-tail completed 25 completed 25",
+    "sync-stop-wait corrupt-record completed 25 completed 25",
+    "sync-stop-wait stale-snapshot completed 25 completed 25",
+};
+
 TEST(Conformance, EveryProtocolSurvivesEveryStorageFault) {
   // The headline acceptance test: the full matrix — every protocol in the
   // suite x all four storage-fault kinds x crash of either process — must
   // complete with at least one real crash and one rehydrated recovery.
   const auto cases = default_recovery_cases();
-  const RecoveryReport report = recovery_sweep(cases, 2026);
+  const MatrixReport report = recovery_sweep(cases, 2026);
   EXPECT_EQ(report.trials.size(), cases.size() * 4 * 2);
   for (const auto& t : report.trials)
     if (!t.detail.empty()) ADD_FAILURE() << t.detail;
   EXPECT_TRUE(report.clean());
-  EXPECT_EQ(report.completed, report.trials.size());
+  EXPECT_EQ(report.passed, report.trials.size());
+  ASSERT_EQ(report.trials.size(), 2 * std::size(kRecoveryMatrixGolden));
+  auto cell = [](const MatrixTrial& t) {
+    return std::string(sim::to_cstr(t.verdict)) + " " +
+           std::to_string(t.stats.steps);
+  };
+  for (std::size_t i = 0; i < std::size(kRecoveryMatrixGolden); ++i) {
+    const MatrixTrial& s = report.trials[2 * i];
+    const MatrixTrial& r = report.trials[2 * i + 1];
+    ASSERT_EQ(s.proc, sim::Proc::kSender);
+    ASSERT_EQ(r.proc, sim::Proc::kReceiver);
+    ASSERT_EQ(r.protocol + fault::to_cstr(r.fault),
+              s.protocol + fault::to_cstr(s.fault));
+    EXPECT_EQ(s.protocol + " " + fault::to_cstr(s.fault) + " " + cell(s) +
+                  " " + cell(r),
+              kRecoveryMatrixGolden[i])
+        << "row " << i;
+  }
 }
 
 /// A deliberately broken recovery path: claims restore_state succeeded but

@@ -337,17 +337,35 @@ TEST(FabricPlanText, MalformedInputThrows) {
                ContractError);
   EXPECT_THROW(fault::fabric_plan_from_text("partition@9ms..3ms 0|2"),
                ContractError);
+  // Ids and times are read whole and range-checked, never truncated.
+  EXPECT_THROW(fault::fabric_plan_from_text("backend-crash@20ms b4294967297"),
+               ContractError);
+  EXPECT_THROW(fault::fabric_plan_from_text("partition@1ms+2ms 0|4294967298"),
+               ContractError);
+  EXPECT_THROW(
+      fault::fabric_plan_from_text("backend-crash@20ms b99999999999999999999"),
+      ContractError);
+  EXPECT_THROW(
+      fault::fabric_plan_from_text("backend-crash@99999999999999999999ms b1"),
+      ContractError);
+  EXPECT_THROW(fault::fabric_plan_from_text("rejoin@-5ms b1"), ContractError);
+  EXPECT_THROW(fault::fabric_plan_from_text("rejoin@20ms b-1"), ContractError);
+  EXPECT_EQ(fault::fabric_plan_from_text("rejoin@20ms b4294967295")
+                .actions[0]
+                .backend,
+            4294967295u);
 }
 
 TEST(FabricPlanText, SoakToStringDelegatesUnchanged) {
-  stp::FabricFaultPlan plan;
-  plan.actions.push_back({stp::FabricFaultKind::kBackendCrash, 2, 20ms, {},
+  // The text a fabric soak prints a plan as (failure lines, CI artifacts).
+  fault::FabricFaultPlan plan;
+  plan.actions.push_back({fault::FabricFaultKind::kBackendCrash, 2, 20ms, {},
                           {}, {}});
-  plan.actions.push_back({stp::FabricFaultKind::kProbeBlackout, 1, 5ms,
+  plan.actions.push_back({fault::FabricFaultKind::kProbeBlackout, 1, 5ms,
                           80ms, {}, {}});
-  EXPECT_EQ(stp::to_string(plan),
+  EXPECT_EQ(fault::to_text(plan),
             "backend-crash@20ms b2; probe-blackout@5ms+80ms b1");
-  EXPECT_EQ(fault::fabric_plan_from_text(stp::to_string(plan)), plan);
+  EXPECT_EQ(fault::fabric_plan_from_text(fault::to_text(plan)), plan);
 }
 
 // --------------------------------------------------------------------------
@@ -551,9 +569,9 @@ constexpr std::chrono::milliseconds kRejoinAt = kSanitized ? 1800ms : 120ms;
 TEST(RejoinReclaim, CrashRejoinReclaimRoundTrip) {
   auto cfg = rejoin_base(12, 8);
   cfg.plan.actions.push_back(
-      {stp::FabricFaultKind::kBackendCrash, 2, 10ms, {}, {}, {}});
+      {fault::FabricFaultKind::kBackendCrash, 2, 10ms, {}, {}, {}});
   cfg.plan.actions.push_back(
-      {stp::FabricFaultKind::kRejoin, 2, kRejoinAt, {}, {}, {}});
+      {fault::FabricFaultKind::kRejoin, 2, kRejoinAt, {}, {}, {}});
   const auto res = stp::run_fabric_soak(cfg);
   EXPECT_TRUE(res.ok) << res.failure;
   EXPECT_EQ(res.completed, 12u);
@@ -577,10 +595,10 @@ TEST(RejoinReclaim, SeededSoakTrialCrashPartitionHealRejoin) {
   // backend, reclaim — then attest the whole story from the merged trace.
   auto cfg = rejoin_base(12, 8);
   cfg.plan.actions.push_back(
-      {stp::FabricFaultKind::kBackendCrash, 1, 10ms, {}, {}, {}});
+      {fault::FabricFaultKind::kBackendCrash, 1, 10ms, {}, {}, {}});
   {
-    stp::FabricFaultAction p;
-    p.kind = stp::FabricFaultKind::kPartition;
+    fault::FabricFaultAction p;
+    p.kind = fault::FabricFaultKind::kPartition;
     // The window stays under the condemnation ladder (~35ms of silence
     // uninstrumented) so the survivor USUALLY rides it out — but a loaded
     // scheduler can stretch the heal past the ladder, and a condemned
@@ -593,7 +611,7 @@ TEST(RejoinReclaim, SeededSoakTrialCrashPartitionHealRejoin) {
     cfg.plan.actions.push_back(p);
   }
   cfg.plan.actions.push_back(
-      {stp::FabricFaultKind::kRejoin, 1,
+      {fault::FabricFaultKind::kRejoin, 1,
        kRejoinAt + (kSanitized ? 700ms : 60ms), {}, {}, {}});
   const auto res = stp::run_fabric_soak(cfg);
   EXPECT_TRUE(res.ok) << res.failure;
@@ -611,8 +629,8 @@ TEST(RejoinReclaim, OneWayPartitionSuppressesOnlyOneDirection) {
   // heal before the ladder condemns (len < first-strike silence).
   auto cfg = rejoin_base(6, 6);
   cfg.health = stp::FabricSoakConfig{}.health;  // default lenient ladder
-  stp::FabricFaultAction p;
-  p.kind = stp::FabricFaultKind::kPartitionOneWay;
+  fault::FabricFaultAction p;
+  p.kind = fault::FabricFaultKind::kPartitionOneWay;
   p.at = 5ms;
   p.len = 8ms;
   p.group_a = {0};
@@ -631,8 +649,8 @@ TEST(RejoinReclaim, SampleResiliencePlanIsDeterministicAndShaped) {
     // Every plan carries the crash -> rejoin spine on the same backend,
     // rejoin strictly after the crash.
     ASSERT_GE(a.size(), 2u) << "seed " << seed;
-    EXPECT_EQ(a.actions[0].kind, stp::FabricFaultKind::kBackendCrash);
-    EXPECT_EQ(a.actions[1].kind, stp::FabricFaultKind::kRejoin);
+    EXPECT_EQ(a.actions[0].kind, fault::FabricFaultKind::kBackendCrash);
+    EXPECT_EQ(a.actions[1].kind, fault::FabricFaultKind::kRejoin);
     EXPECT_EQ(a.actions[0].backend, a.actions[1].backend);
     EXPECT_LT(a.actions[0].at.count(), a.actions[1].at.count());
     // Round-trips through the artifact grammar.
@@ -650,9 +668,9 @@ TEST(RejoinReclaim, SampleResiliencePlanIsDeterministicAndShaped) {
 TEST(RejoinReclaim, PublishMetricsEmitsDistinctDropCounters) {
   auto cfg = rejoin_base(6, 6);
   cfg.plan.actions.push_back(
-      {stp::FabricFaultKind::kBackendCrash, 2, 10ms, {}, {}, {}});
+      {fault::FabricFaultKind::kBackendCrash, 2, 10ms, {}, {}, {}});
   cfg.plan.actions.push_back(
-      {stp::FabricFaultKind::kRejoin, 2, kRejoinAt, {}, {}, {}});
+      {fault::FabricFaultKind::kRejoin, 2, kRejoinAt, {}, {}, {}});
   const auto res = stp::run_fabric_soak(cfg);
   ASSERT_TRUE(res.ok) << res.failure;
   // (No nonzero-drop assertion: the fenced window between condemnation

@@ -50,9 +50,9 @@ TEST(SoakSmoke, RepFreeRidesOutChannelChaosClean) {
                              /*max_steps=*/60000, /*stall_window=*/6000);
   const auto report =
       soak_sweep("repfree-del", spec, {iota(8), iota(5)}, chaos_config());
-  EXPECT_EQ(report.trials, 10u);
-  EXPECT_EQ(report.safety_violations, 0u);
-  EXPECT_EQ(report.stalled, 0u) << "watchdog fired under a fair plan";
+  EXPECT_EQ(report.sweep.trials, 10u);
+  EXPECT_EQ(report.sweep.safety_failures, 0u);
+  EXPECT_EQ(report.sweep.stalled, 0u) << "watchdog fired under a fair plan";
   EXPECT_TRUE(report.clean()) << report.failures.front().detail;
 }
 

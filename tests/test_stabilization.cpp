@@ -5,6 +5,7 @@
 // conformance matrix.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -15,11 +16,9 @@
 #include "channel/schedulers.hpp"
 #include "channel/sync_channel.hpp"
 #include "fault/plan.hpp"
-#include "proto/encoded.hpp"
 #include "proto/hardened.hpp"
 #include "proto/suite.hpp"
-#include "seq/encoding.hpp"
-#include "seq/family.hpp"
+#include "stp/conformance.hpp"
 #include "stp/soak.hpp"
 #include "stp/stabilization.hpp"
 #include "util/expect.hpp"
@@ -234,52 +233,6 @@ TEST(Hardened, EpochResyncWalksTheSenderBack) {
 
 // ------------------------------------- checkpoint round-trip (suite-wide) --
 
-/// Factory + input for one suite protocol; `sync` marks the headerless
-/// lockstep protocol whose delivery verdicts normally come from the channel.
-struct SuiteEntry {
-  std::string name;
-  std::function<ProtocolPair()> make;
-  seq::Sequence input;
-  bool sync = false;
-};
-
-std::vector<SuiteEntry> suite_entries() {
-  const seq::Sequence six{0, 1, 2, 3, 4, 5};
-  std::vector<SuiteEntry> v;
-  v.push_back({"stenning", [] { return make_stenning(6); }, six});
-  v.push_back({"abp", [] { return make_abp(6); }, six});
-  v.push_back({"modk-stenning", [] { return make_modk_stenning(6, 3); }, six});
-  v.push_back({"repfree-dup", [] { return make_repfree_dup(6); }, six});
-  v.push_back({"repfree-del", [] { return make_repfree_del(6); }, six});
-  v.push_back({"go-back-n", [] { return make_go_back_n(6, 3); }, six});
-  v.push_back(
-      {"selective-repeat", [] { return make_selective_repeat(6, 3); }, six});
-  v.push_back(
-      {"block", [] { return make_block(4, 2, 12); }, {0, 1, 2, 3, 1, 2}});
-  v.push_back({"hybrid", [] { return make_hybrid(6, 8); }, six});
-  v.push_back(
-      {"sync-stop-wait", [] { return make_sync_stop_wait(6); }, six, true});
-  {
-    seq::Family fam;
-    fam.domain = seq::Domain{6};
-    for (std::size_t len = 0; len <= six.size(); ++len) {
-      fam.members.emplace_back(six.begin(),
-                               six.begin() + static_cast<std::ptrdiff_t>(len));
-    }
-    auto enc = seq::try_build_encoding(fam, 6);
-    STPX_EXPECT(enc.has_value(), "chain-family encoding must exist");
-    auto table = std::make_shared<const seq::Encoding>(std::move(*enc));
-    v.push_back({"encoded-knowledge",
-                 [table] {
-                   return ProtocolPair{
-                       std::make_unique<EncodedSender>(table, false),
-                       std::make_unique<KnowledgeReceiver>(table, false)};
-                 },
-                 six});
-  }
-  return v;
-}
-
 TEST(CheckpointRoundTrip, SaveRestoreSaveIsByteIdenticalSuiteWide) {
   // The scramble layer compares checkpoints textually, and the recovery
   // layer re-baselines from save_state() after every restore — both depend
@@ -287,8 +240,11 @@ TEST(CheckpointRoundTrip, SaveRestoreSaveIsByteIdenticalSuiteWide) {
   // fresh instance, for every protocol and both processes.  Exercised on a
   // mid-run state so non-trivial fields (windows, buffers, seen-sets) are
   // actually populated.
-  for (const SuiteEntry& e : suite_entries()) {
-    ProtocolPair live = e.make();
+  for (const stp::ProtocolCase& e : stp::suite_roster({})) {
+    // The headerless lockstep protocol takes its delivery verdicts from the
+    // channel, so the pump acks its sends by hand.
+    const bool sync = e.name == "sync-stop-wait";
+    ProtocolPair live = e.spec.protocols();
     live.sender->start(e.input);
     live.receiver->start();
     seq::Sequence tape;
@@ -298,14 +254,14 @@ TEST(CheckpointRoundTrip, SaveRestoreSaveIsByteIdenticalSuiteWide) {
       const auto re = live.receiver->on_step();
       for (seq::DataItem d : re.writes) tape.push_back(d);
       if (re.send) live.sender->on_deliver(*re.send);
-      if (e.sync && se.send) live.sender->on_deliver(channel::kSyncAck);
+      if (sync && se.send) live.sender->on_deliver(channel::kSyncAck);
     }
     EXPECT_FALSE(tape.empty()) << e.name << ": pump made no progress";
 
     const std::string sblob = live.sender->save_state();
     const std::string rblob = live.receiver->save_state();
 
-    ProtocolPair fresh = e.make();
+    ProtocolPair fresh = e.spec.protocols();
     fresh.sender->start(e.input);
     fresh.receiver->start();
     ASSERT_TRUE(fresh.sender->restore_state(sblob)) << e.name;
@@ -424,38 +380,101 @@ TEST(Conformance, StabilizationPlanShape) {
       ContractError);
 }
 
+/// Every trial of the default matrix at seed 2026, in sweep order, one
+/// line per (protocol, fault): "protocol fault", then the verdict and step
+/// count of the sender-targeted trial, then of the receiver-targeted one.
+/// The step counts pin the schedules: a harness change that reorders cells
+/// or perturbs a run's interleaving fails here even when every verdict
+/// stays the same.
+const char* const kStabilizationMatrixGolden[] = {
+    "hardened corrupt-payload completed 101 completed 100",
+    "hardened forge-message completed 140 completed 144",
+    "hardened scramble-state completed 102 completed 102",
+    "stenning corrupt-payload completed 82 completed 72",
+    "stenning forge-message completed 101 completed 101",
+    "stenning scramble-state completed 103 completed 80",
+    "abp corrupt-payload completed 83 completed 83",
+    "abp forge-message completed 83 completed 68",
+    "abp scramble-state completed 114 completed 57",
+    "modk-stenning corrupt-payload completed 97 completed 91",
+    "modk-stenning forge-message completed 135 completed 111",
+    "modk-stenning scramble-state stalled 4026 completed 80",
+    "repfree-dup corrupt-payload completed 187 completed 189",
+    "repfree-dup forge-message stabilization-violation 4146 "
+    "stabilization-violation 4138",
+    "repfree-dup scramble-state completed 192 completed 192",
+    "repfree-del corrupt-payload completed 79 completed 79",
+    "repfree-del forge-message completed 65 stabilization-violation 4040",
+    "repfree-del scramble-state stalled 4012 completed 67",
+    "go-back-n corrupt-payload stalled 4013 completed 49",
+    "go-back-n forge-message stalled 4013 completed 42",
+    "go-back-n scramble-state completed 52 completed 44",
+    "selective-repeat corrupt-payload completed 65 completed 38",
+    "selective-repeat forge-message stalled 4051 completed 59",
+    "selective-repeat scramble-state completed 39 completed 61",
+    "block corrupt-payload completed 27 completed 27",
+    "block forge-message completed 27 completed 26",
+    "block scramble-state completed 27 completed 27",
+    "hybrid corrupt-payload completed 197 completed 194",
+    "hybrid forge-message completed 49 completed 47",
+    "hybrid scramble-state completed 50 completed 42",
+    "encoded-knowledge corrupt-payload completed 187 completed 189",
+    "encoded-knowledge forge-message stalled 4091 stalled 4028",
+    "encoded-knowledge scramble-state completed 192 stalled 4028",
+    "sync-stop-wait corrupt-payload completed 34 completed 32",
+    "sync-stop-wait forge-message completed 36 completed 41",
+    "sync-stop-wait scramble-state stalled 4011 completed 25",
+};
+
 TEST(Conformance, MatrixLandsOnItsPins) {
   // The headline acceptance test: every protocol in the suite x all three
   // corruption kinds x both target processes, each cell's verdict matching
   // its documented pin (docs/STABILIZATION.md).
   const auto cases = default_stabilization_cases();
   ASSERT_GE(cases.size(), 12u);  // hardened + the 11-protocol suite
-  const StabilizationReport report = stabilization_sweep(cases, 2026);
+  const MatrixReport report = stabilization_sweep(cases, 2026);
   EXPECT_EQ(report.trials.size(),
             cases.size() * kCorruptionKindCount * 2);
   for (const auto& t : report.trials)
     if (!t.detail.empty()) ADD_FAILURE() << t.detail;
   EXPECT_TRUE(report.clean());
-  EXPECT_EQ(report.matched, report.trials.size());
+  EXPECT_EQ(report.passed, report.trials.size());
+  ASSERT_EQ(report.trials.size(), 2 * std::size(kStabilizationMatrixGolden));
+  auto cell = [](const MatrixTrial& t) {
+    return std::string(sim::to_cstr(t.verdict)) + " " +
+           std::to_string(t.stats.steps);
+  };
+  for (std::size_t i = 0; i < std::size(kStabilizationMatrixGolden); ++i) {
+    const MatrixTrial& s = report.trials[2 * i];
+    const MatrixTrial& r = report.trials[2 * i + 1];
+    ASSERT_EQ(s.proc, sim::Proc::kSender);
+    ASSERT_EQ(r.proc, sim::Proc::kReceiver);
+    ASSERT_EQ(r.protocol + fault::to_cstr(r.fault),
+              s.protocol + fault::to_cstr(s.fault));
+    EXPECT_EQ(s.protocol + " " + fault::to_cstr(s.fault) + " " + cell(s) +
+                  " " + cell(r),
+              kStabilizationMatrixGolden[i])
+        << "row " << i;
+  }
 }
 
 TEST(Conformance, HardenedCompletesEveryCellWithTheFaultActuallyFiring) {
   const auto cases = default_stabilization_cases();
-  const StabilizationReport report = stabilization_sweep(cases, 2026);
+  const MatrixReport report = stabilization_sweep(cases, 2026);
   std::size_t hardened_cells = 0;
   for (const auto& t : report.trials) {
     if (t.protocol != "hardened") continue;
     ++hardened_cells;
     EXPECT_EQ(t.verdict, sim::RunVerdict::kCompleted)
-        << fault::to_cstr(t.kind) << " proc " << sim::to_cstr(t.proc);
+        << fault::to_cstr(t.fault) << " proc " << sim::to_cstr(t.proc);
     // Re-converging past a fault that never fired proves nothing: every
     // cell must have seen its corruption (scramble cells via the sealed
     // checkpoint rejecting the blob).
-    if (t.kind == fault::FaultKind::kScrambleState) {
-      EXPECT_GE(t.scrambles_applied + t.scrambles_rejected, 1u);
-      EXPECT_EQ(t.scrambles_applied, 0u);  // the seal held every time
+    if (t.fault == fault::FaultKind::kScrambleState) {
+      EXPECT_GE(t.stats.scrambles_applied + t.stats.scrambles_rejected, 1u);
+      EXPECT_EQ(t.stats.scrambles_applied, 0u);  // the seal held every time
     } else {
-      EXPECT_GE(t.corruptions, 1u);
+      EXPECT_GE(t.stats.corruptions, 1u);
     }
   }
   EXPECT_EQ(hardened_cells, kCorruptionKindCount * 2);
