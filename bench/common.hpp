@@ -7,7 +7,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
-#include <streambuf>
+#include <sstream>
 #include <string>
 
 #include "channel/del_channel.hpp"
@@ -58,9 +58,10 @@ inline BenchCli parse_bench_cli(int argc, char** argv) {
   return cli;
 }
 
-/// One bench invocation: parses the CLI, silences std::cout under --quiet,
-/// accumulates sweep results, and emits the BENCH_<name>.json report
-/// from finish().  Intended shape of a main():
+/// One bench invocation: parses the CLI, buffers std::cout under --quiet
+/// (replayed to std::cerr only if the shape fails), accumulates sweep
+/// results, and emits the BENCH_<name>.json report from finish().
+/// Intended shape of a main():
 ///
 ///   int main(int argc, char** argv) {
 ///     BenchRun bench("f1_dup_overhead", argc, argv);
@@ -73,7 +74,7 @@ class BenchRun {
  public:
   BenchRun(std::string name, int argc, char** argv)
       : name_(std::move(name)), cli_(parse_bench_cli(argc, argv)) {
-    if (cli_.quiet) saved_ = std::cout.rdbuf(&null_buf_);
+    if (cli_.quiet) saved_ = std::cout.rdbuf(&quiet_out_);
   }
 
   BenchRun(const BenchRun&) = delete;
@@ -118,24 +119,19 @@ class BenchRun {
         std::cout << "\nreport: " << cli_.json_path << "\n";
       }
     }
+    // A quiet run stays silent unless its shape failed; then the
+    // suppressed tables go to stderr so the failing line is on record.
+    if (!ok && saved_ != nullptr) std::cerr << quiet_out_.str();
     return ok ? 0 : 1;
   }
 
  private:
-  /// Discards everything written to it (backs std::cout under --quiet).
-  struct NullBuf final : std::streambuf {
-    int overflow(int c) override { return c == EOF ? 0 : c; }
-    std::streamsize xsputn(const char*, std::streamsize n) override {
-      return n;
-    }
-  };
-
   std::string name_;
   BenchCli cli_;
   stp::SweepResult merged_;
   std::vector<std::pair<std::string, std::string>> params_;
   std::string metrics_json_;
-  NullBuf null_buf_;
+  std::stringbuf quiet_out_;  // backs std::cout under --quiet
   std::streambuf* saved_ = nullptr;
 };
 

@@ -24,11 +24,9 @@
 // post-restart wire effort per session.  The metrics snapshot attached to
 // the JSON is the client+gen2 publish_metrics() output of the largest
 // point.
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -38,6 +36,7 @@
 #include "common.hpp"
 #include "fault/plan.hpp"
 #include "net/loopback.hpp"
+#include "net/prefix_probe.hpp"
 #include "net/service.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -80,45 +79,6 @@ net::LoopbackConfig lossy_wire() {
   return wire;
 }
 
-/// Per-session prefix attestation across a restart: on_rehydrate seeds the
-/// expected next index from the restored durable position, so a superseded
-/// checkpoint re-earns items but never skips or repeats one within a
-/// server generation.
-class ProgressProbe final : public net::INetProbe {
- public:
-  explicit ProgressProbe(std::size_t max_sessions) : next_(max_sessions) {
-    for (auto& a : next_) a.store(0, std::memory_order_relaxed);
-  }
-
-  void on_item(std::uint32_t session, std::size_t index) override {
-    ++items_;
-    const std::size_t want =
-        next_[session].fetch_add(1, std::memory_order_relaxed);
-    if (index != want) out_of_order_ = true;
-  }
-  void on_rehydrate(std::uint32_t session, std::size_t position,
-                    net::SessionState) override {
-    ++rehydrated_;
-    next_[session].store(position, std::memory_order_relaxed);
-  }
-
-  std::size_t min_progress(std::size_t n) const {
-    std::size_t lo = std::numeric_limits<std::size_t>::max();
-    for (std::size_t i = 0; i < n; ++i) {
-      lo = std::min(lo, next_[i].load(std::memory_order_relaxed));
-    }
-    return lo;
-  }
-  std::uint64_t items() const { return items_; }
-  std::uint64_t rehydrated() const { return rehydrated_; }
-  bool out_of_order() const { return out_of_order_; }
-
- private:
-  std::vector<std::atomic<std::size_t>> next_;
-  std::atomic<std::uint64_t> items_{0}, rehydrated_{0};
-  std::atomic<bool> out_of_order_{false};
-};
-
 net::StpServer::ReceiverFactory stenning_receiver_factory() {
   return [](std::uint32_t,
             std::uint64_t tag) -> std::unique_ptr<sim::IReceiver> {
@@ -148,7 +108,7 @@ PointResult run_point(std::size_t n, BenchRun& bench, bool attach_metrics) {
   store::MemStore st0, st1;
   st0.reset();
   st1.reset();
-  ProgressProbe probe1(n), probe2(n);
+  net::PrefixProbe probe1(n), probe2(n);
 
   net::MuxConfig cfg;
   cfg.workers = 4;

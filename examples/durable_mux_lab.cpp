@@ -19,9 +19,6 @@
 //
 // See docs/RECOVERY.md (manifest format, group commit, rewind tolerance)
 // and docs/NETWORK.md for the mux architecture.
-#include <algorithm>
-#include <array>
-#include <atomic>
 #include <chrono>
 #include <iostream>
 #include <memory>
@@ -31,6 +28,7 @@
 #include "analysis/table.hpp"
 #include "fault/plan.hpp"
 #include "net/loopback.hpp"
+#include "net/prefix_probe.hpp"
 #include "net/service.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -52,28 +50,6 @@ seq::Sequence seq_for(std::uint32_t id) {
   }
   return x;
 }
-
-/// Tracks per-session progress so the lab knows when every session is
-/// manifested (the kill window) and how many sessions gen-2 rehydrated.
-class LabProbe final : public net::INetProbe {
- public:
-  void on_item(std::uint32_t session, std::size_t) override {
-    if (session < kSessions) ++progress_[session];
-  }
-  void on_rehydrate(std::uint32_t, std::size_t, net::SessionState) override {
-    ++rehydrated_;
-  }
-  std::size_t min_progress() const {
-    std::size_t lo = progress_[0].load();
-    for (const auto& p : progress_) lo = std::min(lo, p.load());
-    return lo;
-  }
-  std::uint64_t rehydrated() const { return rehydrated_; }
-
- private:
-  std::array<std::atomic<std::size_t>, kSessions> progress_{};
-  std::atomic<std::uint64_t> rehydrated_{0};
-};
 
 net::StpServer::ReceiverFactory stenning_receiver_factory() {
   return [](std::uint32_t,
@@ -104,7 +80,9 @@ int main() {
   store::MemStore st0, st1;
   st0.reset();
   st1.reset();
-  LabProbe probe1, probe2;
+  // probe1 shows when every session is manifested (the kill window),
+  // probe2 how many sessions generation 2 rehydrated.
+  net::PrefixProbe probe1(kSessions), probe2(kSessions);
 
   net::MuxConfig cfg;
   cfg.workers = 2;
@@ -133,7 +111,7 @@ int main() {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(30);
   while (std::chrono::steady_clock::now() < deadline &&
-         probe1.min_progress() < 1) {
+         probe1.min_progress(kSessions) < 1) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   server->mux().kill();

@@ -189,7 +189,7 @@ RehydrateReport SessionMux::rehydrate(
     s.dirty = true;  // re-manifest under the new epoch at the first flush
     s.items_reported = s.endpoint->items_done();
     ++rep.sessions;
-    n_.rehydrated.fetch_add(1, std::memory_order_relaxed);
+    n_.rehydrated_sessions.fetch_add(1, std::memory_order_relaxed);
     if (!s.endpoint->safety_ok()) {
       // The manifest itself witnessed an inconsistency — loud, terminal,
       // distinct from a live safety violation.
@@ -233,7 +233,7 @@ void SessionMux::pump_loop(std::stop_token st) {
         // control traffic (a probe ack reflection, a join/resolve frame
         // from a hostile or confused peer) is dropped, never delivered to
         // a session — a kNotOwner reaching deliver() would read as an ack.
-        n_.frames_unknown.fetch_add(1, std::memory_order_relaxed);
+        n_.frames_unknown_session.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
       route(*frame);
@@ -261,7 +261,7 @@ void SessionMux::answer_probe(const Frame& probe) {
 void SessionMux::route(const Frame& f) {
   const auto it = index_at(f.session);
   if (it == index_.end() || it->first != f.session) {
-    n_.frames_unknown.fetch_add(1, std::memory_order_relaxed);
+    n_.frames_unknown_session.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   const std::size_t idx = it->second;
@@ -352,9 +352,7 @@ void SessionMux::sweep(Shard& shard) {
         s.quiet_sweeps >= cfg_.keepalive_sweeps &&
         !s.last_data_frame.empty()) {
       s.quiet_sweeps = 0;
-      transport_->send(s.last_data_frame);
-      ++s.frames_out;
-      n_.frames_sent.fetch_add(1, std::memory_order_relaxed);
+      transmit(s, s.last_data, s.last_data_frame);
       if (s.is_sender) {
         if (s.pending_sends.size() < kMaxPendingSends) {
           s.pending_sends.push_back(std::chrono::steady_clock::now());
@@ -479,15 +477,22 @@ void SessionMux::emit(Session& s, FrameKind kind, sim::MsgId msg) {
   send_now(s, f, bytes);
 }
 
-void SessionMux::send_now(Session& s, const Frame& f,
+void SessionMux::transmit(Session& s, const Frame& f,
                           const std::vector<std::uint8_t>& bytes) {
   transport_->send(bytes);  // shed == lost; the protocol retransmits
   ++s.frames_out;
   n_.frames_sent.fetch_add(1, std::memory_order_relaxed);
+  if (cfg_.probe != nullptr) cfg_.probe->on_frame_sent(s.id, f);
+}
+
+void SessionMux::send_now(Session& s, const Frame& f,
+                          const std::vector<std::uint8_t>& bytes) {
+  transmit(s, f, bytes);
   if (f.kind == FrameKind::kFin) {
     n_.fins_sent.fetch_add(1, std::memory_order_relaxed);
   } else {
     s.last_data_frame = bytes;
+    s.last_data = f;
   }
   if (s.is_sender) {
     ++s.inflight;
@@ -495,7 +500,6 @@ void SessionMux::send_now(Session& s, const Frame& f,
       s.pending_sends.push_back(std::chrono::steady_clock::now());
     }
   }
-  if (cfg_.probe != nullptr) cfg_.probe->on_frame_sent(s.id, f);
 }
 
 void SessionMux::release_held(Session& s) {
@@ -545,9 +549,9 @@ void SessionMux::flush_shard(Shard& shard, bool force) {
       std::lock_guard<std::mutex> hold(slot.mu);
       slot.store->append_batch(batch);
     }
-    n_.ckpt_flushes.fetch_add(1, std::memory_order_relaxed);
-    n_.ckpt_records.fetch_add(batch.size(), std::memory_order_relaxed);
-    n_.ckpt_bytes.fetch_add(batch_bytes, std::memory_order_relaxed);
+    n_.checkpoint_flushes.fetch_add(1, std::memory_order_relaxed);
+    n_.checkpoint_records.fetch_add(batch.size(), std::memory_order_relaxed);
+    n_.checkpoint_bytes.fetch_add(batch_bytes, std::memory_order_relaxed);
     if (cfg_.probe != nullptr) {
       cfg_.probe->on_checkpoint_flush(
           shard.idx, batch.size(), batch_bytes,
@@ -566,16 +570,16 @@ void SessionMux::finalize(Session& s, SessionState state) {
   s.dirty = true;  // the terminal state itself is worth a manifest record
   switch (state) {
     case SessionState::kCompleted:
-      n_.completed.fetch_add(1, std::memory_order_relaxed);
+      n_.sessions_completed.fetch_add(1, std::memory_order_relaxed);
       break;
     case SessionState::kSafetyViolation:
-      n_.violated.fetch_add(1, std::memory_order_relaxed);
+      n_.sessions_violated.fetch_add(1, std::memory_order_relaxed);
       break;
     case SessionState::kEvicted:
-      n_.evicted.fetch_add(1, std::memory_order_relaxed);
+      n_.sessions_evicted.fetch_add(1, std::memory_order_relaxed);
       break;
     case SessionState::kRecoveryViolation:
-      n_.recovery_violated.fetch_add(1, std::memory_order_relaxed);
+      n_.sessions_recovery_violated.fetch_add(1, std::memory_order_relaxed);
       break;
     case SessionState::kActive:
       break;
@@ -586,28 +590,14 @@ void SessionMux::finalize(Session& s, SessionState state) {
 
 NetStats SessionMux::stats() const {
   NetStats out;
-  out.frames_sent = n_.frames_sent.load(std::memory_order_relaxed);
-  out.frames_received = n_.frames_received.load(std::memory_order_relaxed);
-  out.frames_rejected = n_.frames_rejected.load(std::memory_order_relaxed);
+#define STPX_NET_LOAD(field, metric) \
+  out.field = n_.field.load(std::memory_order_relaxed);
+  STPX_NET_COUNTERS(STPX_NET_LOAD)
+#undef STPX_NET_LOAD
   for (std::size_t i = 0; i < kRejectReasonCount; ++i) {
     out.rejects_by_reason[i] =
         n_.rejects_by_reason[i].load(std::memory_order_relaxed);
   }
-  out.frames_unknown_session =
-      n_.frames_unknown.load(std::memory_order_relaxed);
-  out.frames_shed = n_.frames_shed.load(std::memory_order_relaxed);
-  out.probes_answered = n_.probes_answered.load(std::memory_order_relaxed);
-  out.fins_sent = n_.fins_sent.load(std::memory_order_relaxed);
-  out.items_done = n_.items_done.load(std::memory_order_relaxed);
-  out.sessions_completed = n_.completed.load(std::memory_order_relaxed);
-  out.sessions_violated = n_.violated.load(std::memory_order_relaxed);
-  out.sessions_evicted = n_.evicted.load(std::memory_order_relaxed);
-  out.sessions_recovery_violated =
-      n_.recovery_violated.load(std::memory_order_relaxed);
-  out.rehydrated_sessions = n_.rehydrated.load(std::memory_order_relaxed);
-  out.checkpoint_flushes = n_.ckpt_flushes.load(std::memory_order_relaxed);
-  out.checkpoint_records = n_.ckpt_records.load(std::memory_order_relaxed);
-  out.checkpoint_bytes = n_.ckpt_bytes.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -634,27 +624,21 @@ std::vector<SessionReport> SessionMux::reports() const {
 
 void SessionMux::publish_metrics(obs::MetricsRegistry& reg) const {
   const NetStats st = stats();
-  reg.counter("net.frames.sent").inc(st.frames_sent);
-  reg.counter("net.frames.received").inc(st.frames_received);
-  reg.counter("net.frames.rejected").inc(st.frames_rejected);
+  const auto publish = [&reg](const char* name, std::uint64_t value) {
+    if (name != nullptr) reg.counter(name).inc(value);
+  };
+#define STPX_NET_PUBLISH(field, metric) publish(metric, st.field);
+  STPX_NET_COUNTERS(STPX_NET_PUBLISH)
+#undef STPX_NET_PUBLISH
   for (std::size_t i = 0; i < kRejectReasonCount; ++i) {
     reg.counter(std::string("net.rejects.") +
                 to_cstr(static_cast<RejectReason>(i)))
         .inc(st.rejects_by_reason[i]);
   }
-  reg.counter("net.frames.unknown_session").inc(st.frames_unknown_session);
-  reg.counter("net.frames.shed").inc(st.frames_shed);
   // Backpressure loss under its own name, so dashboards can tell "the mux
   // chose to drop" apart from frame-accounting noise (`net.frames.shed`
   // stays as the frame-family spelling of the same counter).
   reg.counter("net.sheds").inc(st.frames_shed);
-  reg.counter("net.probes.answered").inc(st.probes_answered);
-  reg.counter("net.fins.sent").inc(st.fins_sent);
-  reg.counter("net.items.done").inc(st.items_done);
-  reg.counter("net.rehydrated_sessions").inc(st.rehydrated_sessions);
-  reg.counter("net.checkpoint_flushes").inc(st.checkpoint_flushes);
-  reg.counter("net.checkpoint_records").inc(st.checkpoint_records);
-  reg.counter("net.checkpoint_bytes").inc(st.checkpoint_bytes);
   reg.gauge("net.sessions.active")
       .set(static_cast<std::int64_t>(active_sessions()));
   auto& rtt = reg.histogram("net.ack_rtt_us", obs::pow2_bounds(24));

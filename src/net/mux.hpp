@@ -44,7 +44,7 @@
 //     still rehydrates cleanly.
 //
 // Thread-safety invariants: session objects are touched only by their
-// shard's worker; NetCounters are atomics; the transport must be
+// shard's worker; the counters are relaxed atomics; the transport must be
 // thread-safe (both provided implementations are); an attached INetProbe
 // must be thread-safe (hooks fire concurrently from workers and pump);
 // session stores are NOT assumed thread-safe — the mux serializes access
@@ -157,58 +157,6 @@ class INetProbe {
 /// How many distinct RejectReason values exist (per-reason counter arrays).
 inline constexpr std::size_t kRejectReasonCount = 6;
 
-/// A ready-made INetProbe: atomic tallies, enough for tests and demos.
-class CountingNetProbe final : public INetProbe {
- public:
-  void on_frame_sent(std::uint32_t, const Frame&) override { ++sent_; }
-  void on_frame_received(std::uint32_t, const Frame&) override {
-    ++received_;
-  }
-  void on_frame_rejected(RejectReason why) override {
-    ++rejected_;
-    ++by_reason_[static_cast<std::size_t>(why) % kRejectReasonCount];
-  }
-  void on_frame_shed(std::uint32_t) override { ++sheds_; }
-  void on_item(std::uint32_t, std::size_t) override { ++items_; }
-  void on_session_state(std::uint32_t, SessionState s) override {
-    if (s == SessionState::kCompleted) ++completed_;
-    if (s == SessionState::kSafetyViolation) ++violated_;
-    if (s == SessionState::kEvicted) ++evicted_;
-    if (s == SessionState::kRecoveryViolation) ++recovery_violated_;
-  }
-  void on_rehydrate(std::uint32_t, std::size_t, SessionState) override {
-    ++rehydrated_;
-  }
-  void on_checkpoint_flush(std::size_t, std::size_t, std::uint64_t,
-                           std::uint64_t) override {
-    ++flushes_;
-  }
-  void on_probe_answered(std::int64_t) override { ++probes_answered_; }
-
-  std::uint64_t sent() const { return sent_; }
-  std::uint64_t received() const { return received_; }
-  std::uint64_t rejected() const { return rejected_; }
-  std::uint64_t rejected(RejectReason why) const {
-    return by_reason_[static_cast<std::size_t>(why) % kRejectReasonCount];
-  }
-  std::uint64_t sheds() const { return sheds_; }
-  std::uint64_t checkpoint_flushes() const { return flushes_; }
-  std::uint64_t items() const { return items_; }
-  std::uint64_t completed() const { return completed_; }
-  std::uint64_t violated() const { return violated_; }
-  std::uint64_t evicted() const { return evicted_; }
-  std::uint64_t recovery_violated() const { return recovery_violated_; }
-  std::uint64_t rehydrated() const { return rehydrated_; }
-  std::uint64_t probes_answered() const { return probes_answered_; }
-
- private:
-  std::atomic<std::uint64_t> sent_{0}, received_{0}, rejected_{0},
-      sheds_{0}, flushes_{0}, items_{0}, completed_{0}, violated_{0},
-      evicted_{0}, recovery_violated_{0}, rehydrated_{0},
-      probes_answered_{0};
-  std::atomic<std::uint64_t> by_reason_[kRejectReasonCount] = {};
-};
-
 struct MuxConfig {
   /// Worker threads (= shards).  Sessions are partitioned id-order
   /// round-robin across shards at start().
@@ -255,26 +203,45 @@ struct MuxConfig {
   std::uint64_t rehydrate_idle_violation_sweeps = 0;
 };
 
+/// Every mux counter, named once: X(NetStats field, published counter).
+/// The list generates the NetStats fields, the mux's relaxed atomics, the
+/// stats() snapshot and the publish_metrics() names.  A null name is not
+/// published as a counter: session verdicts are published per state as
+/// net.verdict.<state>.  Per-reason rejects sit beside the list as
+/// NetStats::rejects_by_reason (published as net.rejects.<reason>).
+///
+///   frames_sent        handed to the transport, keepalive re-sends included
+///   frames_received    decoded and routed into an inbox
+///   frames_rejected    malformed bytes or the wrong direction
+///   frames_shed        dropped by inbox backpressure (also net.sheds)
+///   probes_answered    fabric heartbeats echoed by the pump
+///   items_done         receiver-side writes, all sessions
+///   checkpoint_*       non-empty group commits, records and payload bytes
+#define STPX_NET_COUNTERS(X)                                \
+  X(frames_sent, "net.frames.sent")                         \
+  X(frames_received, "net.frames.received")                 \
+  X(frames_rejected, "net.frames.rejected")                 \
+  X(frames_unknown_session, "net.frames.unknown_session")   \
+  X(frames_shed, "net.frames.shed")                         \
+  X(probes_answered, "net.probes.answered")                 \
+  X(fins_sent, "net.fins.sent")                             \
+  X(items_done, "net.items.done")                           \
+  X(sessions_completed, nullptr)                            \
+  X(sessions_violated, nullptr)                             \
+  X(sessions_evicted, nullptr)                              \
+  X(sessions_recovery_violated, nullptr)                    \
+  X(rehydrated_sessions, "net.rehydrated_sessions")         \
+  X(checkpoint_flushes, "net.checkpoint_flushes")           \
+  X(checkpoint_records, "net.checkpoint_records")           \
+  X(checkpoint_bytes, "net.checkpoint_bytes")
+
 /// Aggregate mux counters (a consistent-enough snapshot of atomics).
 struct NetStats {
-  std::uint64_t frames_sent = 0;      // handed to the transport
-  std::uint64_t frames_received = 0;  // decoded and routed
-  std::uint64_t frames_rejected = 0;  // malformed bytes or bad direction
+#define STPX_NET_STATS_FIELD(field, metric) std::uint64_t field = 0;
+  STPX_NET_COUNTERS(STPX_NET_STATS_FIELD)
+#undef STPX_NET_STATS_FIELD
   /// frames_rejected split by RejectReason (indexed by the enum value).
   std::uint64_t rejects_by_reason[kRejectReasonCount] = {};
-  std::uint64_t frames_unknown_session = 0;
-  std::uint64_t frames_shed = 0;  // inbox backpressure
-  std::uint64_t probes_answered = 0;  // fabric heartbeats echoed by the pump
-  std::uint64_t fins_sent = 0;
-  std::uint64_t items_done = 0;  // receiver-side writes, all sessions
-  std::uint64_t sessions_completed = 0;
-  std::uint64_t sessions_violated = 0;
-  std::uint64_t sessions_evicted = 0;
-  std::uint64_t sessions_recovery_violated = 0;
-  std::uint64_t rehydrated_sessions = 0;
-  std::uint64_t checkpoint_flushes = 0;  // non-empty group commits
-  std::uint64_t checkpoint_records = 0;  // manifest records appended
-  std::uint64_t checkpoint_bytes = 0;    // manifest payload bytes appended
 };
 
 /// Post-run, per-session outcome.
@@ -420,6 +387,7 @@ class SessionMux {
     // drops the oldest — indistinguishable from wire loss).
     std::vector<std::pair<Frame, std::vector<std::uint8_t>>> held;
     std::vector<std::uint8_t> last_data_frame;  // keepalive payload
+    Frame last_data;                            // ... and its header
     std::deque<std::chrono::steady_clock::time_point> pending_sends;
     std::vector<std::uint64_t> ack_rtt_us;
   };
@@ -479,16 +447,19 @@ class SessionMux {
   std::atomic<std::uint64_t> ckpt_seq_{0};  // manifest append order
 
   std::atomic<std::size_t> terminal_{0};
-  struct Counters {
-    std::atomic<std::uint64_t> frames_sent{0}, frames_received{0},
-        frames_rejected{0}, frames_unknown{0}, frames_shed{0}, fins_sent{0},
-        items_done{0}, completed{0}, violated{0}, evicted{0},
-        recovery_violated{0}, rehydrated{0}, ckpt_flushes{0},
-        ckpt_records{0}, ckpt_bytes{0}, probes_answered{0};
+  /// The live NetStats: one relaxed atomic per STPX_NET_COUNTERS entry.
+  struct LiveStats {
+#define STPX_NET_ATOMIC(field, metric) std::atomic<std::uint64_t> field{0};
+    STPX_NET_COUNTERS(STPX_NET_ATOMIC)
+#undef STPX_NET_ATOMIC
     std::atomic<std::uint64_t> rejects_by_reason[kRejectReasonCount] = {};
   } n_;
   /// The one reject bottleneck: count (total + per reason) and notify.
   void note_reject(RejectReason why);
+  /// The one send bottleneck, shared by send_now() and the keepalive:
+  /// hand `bytes` to the transport, count the frame and notify.
+  void transmit(Session& s, const Frame& f,
+                const std::vector<std::uint8_t>& bytes);
 
   std::vector<std::jthread> workers_;
   std::jthread pump_;

@@ -1,8 +1,9 @@
 #include "net/trace_event.hpp"
 
 #include <array>
-#include <cstdlib>
 #include <sstream>
+
+#include "util/strings.hpp"
 
 namespace stpx::net {
 
@@ -59,10 +60,7 @@ std::optional<std::int64_t> int_field(const std::string& line,
                                       const std::string& key) {
   const auto raw = raw_field(line, key);
   if (!raw) return std::nullopt;
-  char* end = nullptr;
-  const long long v = std::strtoll(raw->c_str(), &end, 10);
-  if (end == raw->c_str() || *end != '\0') return std::nullopt;
-  return static_cast<std::int64_t>(v);
+  return parse_int<std::int64_t>(*raw);
 }
 
 }  // namespace
@@ -210,9 +208,10 @@ std::optional<TraceEvent> parse_jsonl(const std::string& line) {
       break;
     }
   }
-  const auto backend = int_field(line, "backend");
-  if (backend) {
-    if (*backend < 0 || *backend > UINT32_MAX) return std::nullopt;
+  // Optional, but a present key must hold a valid id.
+  if (raw_field(line, "backend")) {
+    const auto backend = int_field(line, "backend");
+    if (!backend || *backend < 0 || *backend > UINT32_MAX) return std::nullopt;
     ev.backend = static_cast<std::uint32_t>(*backend);
   }
   return ev;

@@ -239,6 +239,85 @@ void JsonlSink::on_fault(const FaultEvent& ev) {
         << ",\"match\":" << ev.match << "}\n";
 }
 
+// --- ChromeTraceWriter ----------------------------------------------------
+
+ChromeTraceWriter::ChromeTraceWriter(std::string process,
+                                     std::vector<Window> windows,
+                                     int first_lane_tid)
+    : process_(std::move(process)), windows_(std::move(windows)) {
+  std::stable_sort(windows_.begin(), windows_.end(),
+                   [](const Window& a, const Window& b) {
+                     return a.begin < b.begin;
+                   });
+  std::vector<std::uint64_t> lane_end;  // last end per lane
+  window_tid_.reserve(windows_.size());
+  for (const Window& w : windows_) {
+    std::size_t lane = 0;
+    while (lane < lane_end.size() && lane_end[lane] > w.begin) ++lane;
+    if (lane == lane_end.size()) lane_end.push_back(0);
+    lane_end[lane] = w.end;
+    window_tid_.push_back(first_lane_tid + static_cast<int>(lane));
+  }
+  for (std::size_t lane = 0; lane < lane_end.size(); ++lane) {
+    track(first_lane_tid + static_cast<int>(lane),
+          lane == 0 ? "faults" : "faults (overflow lane)");
+  }
+  lanes_end_ = first_lane_tid + static_cast<int>(lane_end.size());
+}
+
+void ChromeTraceWriter::track(int tid, std::string name) {
+  tracks_[tid] = std::move(name);
+}
+
+void ChromeTraceWriter::add(Event ev) { events_.push_back(std::move(ev)); }
+
+void ChromeTraceWriter::write_to(std::ostream& out) const {
+  struct Record {
+    std::uint64_t ts;
+    int order;  // B(0) before instants(1) before E(2) at equal ts
+    char ph;
+    int tid;
+    const std::string* name;
+    const std::string* args;
+    std::uint64_t dur;
+  };
+  static const std::string kNoArgs;
+  std::vector<Record> records;
+  records.reserve(events_.size() + 2 * windows_.size());
+  for (const Event& e : events_) {
+    records.push_back({e.ts, 1, e.dur > 0 ? 'X' : 'i', e.tid, &e.name,
+                       &e.args, e.dur});
+  }
+  for (std::size_t i = 0; i < windows_.size(); ++i) {
+    const Window& w = windows_[i];
+    records.push_back(
+        {w.begin, 0, 'B', window_tid_[i], &w.name, &w.args, 0});
+    records.push_back({w.end, 2, 'E', window_tid_[i], &w.name, &kNoArgs, 0});
+  }
+  std::stable_sort(records.begin(), records.end(),
+                   [](const Record& a, const Record& b) {
+                     return a.ts != b.ts ? a.ts < b.ts : a.order < b.order;
+                   });
+
+  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":["
+      << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
+         "\"args\":{\"name\":\""
+      << json_escape(process_) << "\"}}";
+  for (const auto& [tid, name] : tracks_) {
+    out << ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":"
+        << tid << ",\"args\":{\"name\":\"" << json_escape(name) << "\"}}";
+  }
+  for (const Record& r : records) {
+    out << ",{\"name\":\"" << json_escape(*r.name) << "\",\"ph\":\"" << r.ph
+        << "\",\"pid\":1,\"tid\":" << r.tid << ",\"ts\":" << r.ts;
+    if (r.ph == 'X') out << ",\"dur\":" << r.dur;
+    if (r.ph == 'i') out << ",\"s\":\"t\"";
+    if (!r.args->empty()) out << ",\"args\":{" << *r.args << '}';
+    out << '}';
+  }
+  out << "]}";
+}
+
 // --- ChromeTraceSink ------------------------------------------------------
 
 namespace {
@@ -332,90 +411,14 @@ void ChromeTraceSink::on_fault(const FaultEvent& ev) {
 }
 
 void ChromeTraceSink::write_to(std::ostream& out) const {
-  // Assign each fault window to the first lane where it does not overlap an
-  // earlier window, so every lane carries a properly nested (here: disjoint)
-  // B/E sequence.
-  std::vector<Span> spans = spans_;
-  std::stable_sort(spans.begin(), spans.end(),
-                   [](const Span& a, const Span& b) {
-                     return a.begin < b.begin;
-                   });
-  std::vector<std::uint64_t> lane_end;  // last end per lane
-  struct TracedSpan {
-    Span span;
-    int tid;
-  };
-  std::vector<TracedSpan> placed;
-  placed.reserve(spans.size());
-  for (const Span& s : spans) {
-    std::size_t lane = 0;
-    while (lane < lane_end.size() && lane_end[lane] > s.begin) ++lane;
-    if (lane == lane_end.size()) lane_end.push_back(0);
-    lane_end[lane] = s.end;
-    placed.push_back({s, kTidFaultBase + static_cast<int>(lane)});
-  }
-
-  struct Record {
-    std::uint64_t ts;
-    int order;  // stable tiebreak: B(0) before instants(1) before E(2)
-    std::string json;
-  };
-  std::vector<Record> records;
-  records.reserve(instants_.size() + 2 * placed.size());
-
-  auto event = [](std::uint64_t ts, int tid, char ph, const std::string& name,
-                  const std::string& args, std::uint64_t dur) {
-    std::ostringstream os;
-    os << "{\"name\":\"" << json_escape(name) << "\",\"ph\":\"" << ph
-       << "\",\"pid\":1,\"tid\":" << tid << ",\"ts\":" << ts;
-    if (ph == 'X') os << ",\"dur\":" << dur;
-    if (ph == 'i') os << ",\"s\":\"t\"";
-    if (!args.empty()) os << ",\"args\":{" << args << '}';
-    os << '}';
-    return os.str();
-  };
-
-  for (const Instant& i : instants_) {
-    const char ph = i.dur > 0 ? 'X' : 'i';
-    records.push_back({i.ts, 1, event(i.ts, i.tid, ph, i.name, i.args, i.dur)});
-  }
-  for (const TracedSpan& t : placed) {
-    records.push_back(
-        {t.span.begin, 0,
-         event(t.span.begin, t.tid, 'B', t.span.name, t.span.args, 0)});
-    records.push_back(
-        {t.span.end, 2, event(t.span.end, t.tid, 'E', t.span.name, "", 0)});
-  }
-  std::stable_sort(records.begin(), records.end(),
-                   [](const Record& a, const Record& b) {
-                     return a.ts != b.ts ? a.ts < b.ts : a.order < b.order;
-                   });
-
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  auto meta = [&](int tid, const char* name) {
-    out << (first ? "" : ",")
-        << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
-        << ",\"args\":{\"name\":\"" << name << "\"}}";
-    first = false;
-  };
-  out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
-         "\"args\":{\"name\":\"stpx run\"}}";
-  first = false;
-  meta(kTidSender, "sender");
-  meta(kTidReceiver, "receiver");
-  meta(kTidChannelSR, "channel S->R");
-  meta(kTidChannelRS, "channel R->S");
-  meta(kTidEngine, "engine");
-  for (std::size_t lane = 0; lane < lane_end.size(); ++lane) {
-    meta(kTidFaultBase + static_cast<int>(lane),
-         lane == 0 ? "faults" : "faults (overflow lane)");
-  }
-  for (const Record& r : records) {
-    out << (first ? "" : ",") << r.json;
-    first = false;
-  }
-  out << "]}";
+  ChromeTraceWriter doc("stpx run", spans_, kTidFaultBase);
+  doc.track(kTidSender, "sender");
+  doc.track(kTidReceiver, "receiver");
+  doc.track(kTidChannelSR, "channel S->R");
+  doc.track(kTidChannelRS, "channel R->S");
+  doc.track(kTidEngine, "engine");
+  for (const ChromeTraceWriter::Event& ev : instants_) doc.add(ev);
+  doc.write_to(out);
 }
 
 std::string ChromeTraceSink::to_json() const {

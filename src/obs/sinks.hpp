@@ -10,6 +10,8 @@
 //     (blackout/freeze) are balanced B/E duration pairs on a dedicated
 //     faults track, so a schedule's blind spots are visible as shaded
 //     spans over the traffic they suppressed.
+//   * ChromeTraceWriter — the one Chrome trace-event document writer,
+//     shared with the wire export (net::write_wire_chrome_trace).
 //
 // Trace timestamps are engine steps, written as microseconds (1 step =
 // 1 us) — Perfetto needs a time unit and steps are the only clock the
@@ -18,6 +20,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -57,6 +60,53 @@ class JsonlSink final : public IProbe {
   std::ostream* out_;
 };
 
+/// The one Chrome trace-event JSON writer, shared by the engine export
+/// (ChromeTraceSink) and the wire export (net::write_wire_chrome_trace);
+/// callers only map their events onto tracks.  Fault windows are
+/// lane-packed at construction — each takes the first lane whose previous
+/// window has ended — so a caller can number further tracks after the
+/// lanes (lanes_end()).  At equal timestamps a window's B sorts before
+/// the instants and its E after them; otherwise events keep the order
+/// they were added in.
+class ChromeTraceWriter {
+ public:
+  /// One instant ("i", dur 0) or complete ("X", dur > 0) event.
+  struct Event {
+    std::uint64_t ts = 0;
+    int tid = 0;
+    std::string name;
+    std::string args;        // pre-rendered JSON object body, may be empty
+    std::uint64_t dur = 0;
+  };
+  /// One window, written as a balanced B/E pair (args on the B event).
+  struct Window {
+    std::uint64_t begin = 0;
+    std::uint64_t end = 0;
+    std::string name;
+    std::string args;
+  };
+
+  /// Lanes for `windows` are tracks first_lane_tid, first_lane_tid+1, ...
+  ChromeTraceWriter(std::string process, std::vector<Window> windows,
+                    int first_lane_tid);
+
+  /// The first tid past the fault lanes.
+  int lanes_end() const { return lanes_end_; }
+  /// Name a track (thread_name metadata; written in tid order).
+  void track(int tid, std::string name);
+  void add(Event ev);
+  /// Write {"displayTimeUnit":"ms","traceEvents":[...]}.
+  void write_to(std::ostream& out) const;
+
+ private:
+  std::string process_;
+  std::vector<Window> windows_;  // sorted by begin
+  std::vector<int> window_tid_;  // lane track of each window
+  int lanes_end_ = 0;
+  std::map<int, std::string> tracks_;
+  std::vector<Event> events_;
+};
+
 /// Buffers events and exports a Chrome trace-event JSON document.
 class ChromeTraceSink final : public IProbe {
  public:
@@ -78,24 +128,8 @@ class ChromeTraceSink final : public IProbe {
   void clear();
 
  private:
-  /// One instant ("i") or complete ("X") event on a track.
-  struct Instant {
-    std::uint64_t ts = 0;
-    int tid = 0;
-    std::string name;
-    std::string args;        // pre-rendered JSON object body, may be empty
-    std::uint64_t dur = 0;   // 0 = instant, >0 = complete event
-  };
-  /// One fault window, exported as a balanced B/E pair.
-  struct Span {
-    std::uint64_t begin = 0;
-    std::uint64_t end = 0;
-    std::string name;
-    std::string args;
-  };
-
-  std::vector<Instant> instants_;
-  std::vector<Span> spans_;
+  std::vector<ChromeTraceWriter::Event> instants_;
+  std::vector<ChromeTraceWriter::Window> spans_;  // fault windows
 };
 
 }  // namespace stpx::obs

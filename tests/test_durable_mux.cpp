@@ -35,6 +35,7 @@
 #include "net/frame.hpp"
 #include "net/loopback.hpp"
 #include "net/mux.hpp"
+#include "net/prefix_probe.hpp"
 #include "net/service.hpp"
 #include "obs/metrics.hpp"
 #include "proto/session_adapter.hpp"
@@ -525,67 +526,6 @@ TEST(EndpointDurability, EverySuiteProtocolRoundTripsThroughAManifest) {
 // Rehydration harness
 // --------------------------------------------------------------------------
 
-/// Prefix attestation + kill-window tracking + rehydrate seeding: on_item
-/// must arrive exactly in ascending per-session order, where a rehydrated
-/// session's order resumes from its restored position (on_rehydrate seeds
-/// the expectation) — superseded checkpoints re-earn items, they never
-/// skip or repeat one within a server generation.
-class DurableProbe final : public net::INetProbe {
- public:
-  explicit DurableProbe(std::size_t max_sessions)
-      : next_(max_sessions), restored_(max_sessions) {
-    for (auto& a : next_) a.store(0, std::memory_order_relaxed);
-    for (auto& a : restored_) a.store(0, std::memory_order_relaxed);
-  }
-
-  void on_item(std::uint32_t session, std::size_t index) override {
-    ++items_;
-    const std::size_t want =
-        next_[session].fetch_add(1, std::memory_order_relaxed);
-    if (index != want) out_of_order_ = true;
-  }
-  void on_session_state(std::uint32_t, net::SessionState s) override {
-    if (s == net::SessionState::kCompleted) ++completed_;
-    if (s == net::SessionState::kSafetyViolation) ++violations_;
-    if (s == net::SessionState::kRecoveryViolation) ++recovery_violations_;
-  }
-  void on_rehydrate(std::uint32_t session, std::size_t position,
-                    net::SessionState) override {
-    ++rehydrated_;
-    next_[session].store(position, std::memory_order_relaxed);
-    restored_[session].store(position, std::memory_order_relaxed);
-  }
-
-  /// Smallest per-session progress across the first `n` sessions.
-  std::size_t min_progress(std::size_t n) const {
-    std::size_t lo = std::numeric_limits<std::size_t>::max();
-    for (std::size_t i = 0; i < n; ++i) {
-      lo = std::min(lo, next_[i].load(std::memory_order_relaxed));
-    }
-    return lo;
-  }
-  std::size_t progress(std::size_t i) const {
-    return next_[i].load(std::memory_order_relaxed);
-  }
-  std::size_t restored(std::size_t i) const {
-    return restored_[i].load(std::memory_order_relaxed);
-  }
-
-  std::uint64_t items() const { return items_; }
-  std::uint64_t completed() const { return completed_; }
-  std::uint64_t violations() const { return violations_; }
-  std::uint64_t recovery_violations() const { return recovery_violations_; }
-  std::uint64_t rehydrated() const { return rehydrated_; }
-  bool out_of_order() const { return out_of_order_; }
-
- private:
-  std::vector<std::atomic<std::size_t>> next_;
-  std::vector<std::atomic<std::size_t>> restored_;
-  std::atomic<std::uint64_t> items_{0}, completed_{0}, violations_{0},
-      recovery_violations_{0}, rehydrated_{0};
-  std::atomic<bool> out_of_order_{false};
-};
-
 net::StpServer::ReceiverFactory stenning_receiver_factory() {
   return [](std::uint32_t,
             std::uint64_t tag) -> std::unique_ptr<sim::IReceiver> {
@@ -621,7 +561,7 @@ struct RestartRig {
   std::size_t len = 0;
   net::LoopbackPair wire;
   store::MemStore st0, st1;
-  std::unique_ptr<DurableProbe> probe1, probe2;
+  std::unique_ptr<net::PrefixProbe> probe1, probe2;
   std::unique_ptr<net::StpClient> client;
   std::unique_ptr<net::StpServer> server;   // generation 1
   std::unique_ptr<net::StpServer> server2;  // generation 2
@@ -643,8 +583,8 @@ struct RestartRig {
     wire = net::make_loopback(wire_cfg);
     st0.reset();
     st1.reset();
-    probe1 = std::make_unique<DurableProbe>(n);
-    probe2 = std::make_unique<DurableProbe>(n);
+    probe1 = std::make_unique<net::PrefixProbe>(n);
+    probe2 = std::make_unique<net::PrefixProbe>(n);
 
     client = std::make_unique<net::StpClient>(wire.a.get(), base_cfg());
     net::MuxConfig scfg = base_cfg();
@@ -781,7 +721,7 @@ TEST(DurableMux, DrainFlushesCompactsAndRehydratesCompleted) {
   EXPECT_EQ(reg.counter_value("net.rehydrated_sessions"), 0u);
 
   // A new generation rehydrates every session straight into kCompleted.
-  DurableProbe probe(kSessions);
+  net::PrefixProbe probe(kSessions);
   net::MuxConfig s2cfg = scfg;
   s2cfg.probe = &probe;
   net::StpServer gen2(wire.b.get(), s2cfg);
@@ -1051,8 +991,8 @@ TEST(DurableMux, KillRestartMidTrafficRehydratesAndCompletes) {
   expect_all_completed(rig.server2->mux(), kSessions, kLen, true);
   expect_all_completed(rig.client->mux(), kSessions, kLen, false);
   EXPECT_FALSE(rig.probe2->out_of_order());
-  EXPECT_EQ(rig.probe2->violations(), 0u);
-  EXPECT_EQ(rig.probe2->recovery_violations(), 0u);
+  EXPECT_EQ(rig.probe2->entered(net::SessionState::kSafetyViolation), 0u);
+  EXPECT_EQ(rig.probe2->entered(net::SessionState::kRecoveryViolation), 0u);
   EXPECT_EQ(rig.probe2->rehydrated(), kSessions);
   const auto ss = rig.server2->mux().stats();
   EXPECT_EQ(ss.rehydrated_sessions, kSessions);
@@ -1143,8 +1083,8 @@ void run_fault_matrix_case(
   }
   EXPECT_EQ(rehydrated, rep.sessions);
   EXPECT_FALSE(rig.probe2->out_of_order());
-  EXPECT_EQ(rig.probe2->violations(), 0u);
-  EXPECT_EQ(rig.probe2->recovery_violations(), 0u);
+  EXPECT_EQ(rig.probe2->entered(net::SessionState::kSafetyViolation), 0u);
+  EXPECT_EQ(rig.probe2->entered(net::SessionState::kRecoveryViolation), 0u);
   EXPECT_EQ(rig.server2->mux().stats().sessions_violated, 0u);
 }
 
@@ -1215,7 +1155,7 @@ TEST(DurableMuxViolation, PoisonedManifestSurfacesAtRestore) {
   st.append(receiver_manifest(kId, seq_for(kId, 4), 3, 1).to_payload());
 
   auto wire = net::make_loopback();
-  DurableProbe probe(kId + 1);
+  net::PrefixProbe probe(kId + 1);
   net::MuxConfig scfg;
   scfg.probe = &probe;
   scfg.session_stores = {&st};
@@ -1227,7 +1167,7 @@ TEST(DurableMuxViolation, PoisonedManifestSurfacesAtRestore) {
       });
   EXPECT_EQ(rep.sessions, 1u);
   EXPECT_EQ(rep.violations, 1u);
-  EXPECT_EQ(probe.recovery_violations(), 1u);
+  EXPECT_EQ(probe.entered(net::SessionState::kRecoveryViolation), 1u);
   EXPECT_EQ(probe.rehydrated(), 1u);
 
   const auto reports = server.mux().reports();
@@ -1256,7 +1196,7 @@ TEST(DurableMuxViolation, LostCompletionWithSilentPeerIsFlaggedNotWedged) {
   st.fault_lose_tail(1);  // the completion record dies
 
   auto wire = net::make_loopback();  // and no client ever speaks
-  DurableProbe probe(kId + 1);
+  net::PrefixProbe probe(kId + 1);
   net::MuxConfig scfg;
   scfg.probe = &probe;
   scfg.sweep_interval = 200us;
@@ -1274,7 +1214,7 @@ TEST(DurableMuxViolation, LostCompletionWithSilentPeerIsFlaggedNotWedged) {
   const auto reports = server.mux().reports();
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].state, net::SessionState::kRecoveryViolation);
-  EXPECT_EQ(probe.recovery_violations(), 1u);
+  EXPECT_EQ(probe.entered(net::SessionState::kRecoveryViolation), 1u);
   EXPECT_EQ(server.mux().stats().sessions_recovery_violated, 1u);
 }
 
@@ -1499,8 +1439,8 @@ TEST(DurableMuxAcceptance, KillRestartThousandSessionsUnderLossAndReorder) {
   expect_all_completed(rig.server2->mux(), kSessions, kLen, false);
   expect_all_completed(rig.client->mux(), kSessions, kLen, false);
   EXPECT_FALSE(rig.probe2->out_of_order());
-  EXPECT_EQ(rig.probe2->violations(), 0u);
-  EXPECT_EQ(rig.probe2->recovery_violations(), 0u);
+  EXPECT_EQ(rig.probe2->entered(net::SessionState::kSafetyViolation), 0u);
+  EXPECT_EQ(rig.probe2->entered(net::SessionState::kRecoveryViolation), 0u);
 
   const auto ss = rig.server2->mux().stats();
   EXPECT_EQ(ss.sessions_completed, kSessions);

@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <limits>
@@ -26,9 +25,12 @@
 #include <vector>
 
 #include "fault/plan.hpp"
+#include "golden.hpp"
+#include "net/flight_recorder.hpp"
 #include "net/frame.hpp"
 #include "net/loopback.hpp"
 #include "net/mux.hpp"
+#include "net/prefix_probe.hpp"
 #include "net/service.hpp"
 #include "net/udp.hpp"
 #include "obs/metrics.hpp"
@@ -62,6 +64,14 @@ std::vector<std::uint8_t> frame_bytes(std::uint32_t session, sim::MsgId msg,
   f.session = session;
   f.msg = msg;
   return net::encode(f);
+}
+
+/// How many drained trace events are of `kind` (a hook's firing count).
+std::size_t count_events(const std::vector<net::TraceEvent>& evs,
+                         net::TraceEventKind kind) {
+  return static_cast<std::size_t>(std::count_if(
+      evs.begin(), evs.end(),
+      [kind](const net::TraceEvent& ev) { return ev.kind == kind; }));
 }
 
 /// Re-stamp the checksum after tampering with header bytes, so the reject
@@ -483,8 +493,8 @@ TEST(NetMux, RejectsGarbageWrongDirAndUnknownSession) {
   auto wire = net::make_loopback();
   net::MuxConfig cfg;
   cfg.sweep_interval = 500us;
-  net::CountingNetProbe probe;
-  cfg.probe = &probe;
+  net::FlightRecorder recorder;
+  cfg.probe = &recorder;
   net::StpServer server(wire.b.get(), cfg);
   auto pair = proto::make_stenning(kDomain);
   server.add_session(7, std::move(pair.receiver), seq_for(7, 3));
@@ -506,7 +516,8 @@ TEST(NetMux, RejectsGarbageWrongDirAndUnknownSession) {
   EXPECT_EQ(st.frames_rejected, 2u);  // garbage + wrong direction
   EXPECT_EQ(st.frames_unknown_session, 1u);
   EXPECT_EQ(st.frames_received, 0u);
-  EXPECT_EQ(probe.rejected(), 2u);
+  EXPECT_EQ(count_events(recorder.drain(), net::TraceEventKind::kFrameRejected),
+            2u);
 }
 
 TEST(NetMux, InboxBackpressureSheds) {
@@ -535,7 +546,7 @@ TEST(NetMux, IdleSessionsAreEvicted) {
   cfg.sweep_interval = 1ms;
   cfg.idle_eviction_sweeps = 3;
   cfg.keepalive_sweeps = 0;
-  net::CountingNetProbe probe;
+  net::PrefixProbe probe(1);
   cfg.probe = &probe;
   net::StpServer server(wire.b.get(), cfg);  // no client: a dead peer
   auto pair = proto::make_stenning(kDomain);
@@ -548,7 +559,7 @@ TEST(NetMux, IdleSessionsAreEvicted) {
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].state, net::SessionState::kEvicted);
   EXPECT_EQ(server.mux().stats().sessions_evicted, 1u);
-  EXPECT_EQ(probe.evicted(), 1u);
+  EXPECT_EQ(probe.entered(net::SessionState::kEvicted), 1u);
 }
 
 TEST(NetMux, DuplicateSessionIdIsAContractError) {
@@ -598,6 +609,25 @@ TEST(NetMux, OutOfOrderRegistrationRoutesAndCatchesDuplicates) {
   EXPECT_EQ(server.mux().stats().frames_unknown_session, 0u);
 }
 
+TEST(NetMux, PublishedMetricNamesMatchGolden) {
+  // Every counter, the verdicts, the gauge and the histogram of an
+  // unstarted mux holding one sender and one receiver, byte for byte.
+  auto wire = net::make_loopback();
+  net::SessionMux mux(wire.b.get(), {});
+  auto pair = proto::make_stenning(kDomain);
+  mux.add_session(1,
+                  std::make_unique<proto::SenderSessionEndpoint>(
+                      std::move(pair.sender), seq_for(1, 2)),
+                  true);
+  mux.add_session(2,
+                  std::make_unique<proto::ReceiverSessionEndpoint>(
+                      std::move(pair.receiver), seq_for(1, 2)),
+                  false);
+  obs::MetricsRegistry reg;
+  mux.publish_metrics(reg);
+  EXPECT_EQ(reg.to_json() + "\n", golden::read("net_metrics.json"));
+}
+
 TEST(NetMux, PublishesMetrics) {
   net::MuxConfig cfg;
   cfg.sweep_interval = 200us;
@@ -625,37 +655,6 @@ TEST(NetMux, PublishesMetrics) {
 // Acceptance: >= 1000 concurrent sessions over a lossy, reordering link.
 // --------------------------------------------------------------------------
 
-/// Attests prefix safety *at all times*: on_item(session, i) must arrive in
-/// exactly ascending order per session (the adapter has already equality-
-/// checked the written item against expected[i]).
-class PrefixOrderProbe final : public net::INetProbe {
- public:
-  explicit PrefixOrderProbe(std::size_t max_sessions)
-      : next_(max_sessions) {
-    for (auto& a : next_) a.store(0, std::memory_order_relaxed);
-  }
-
-  void on_item(std::uint32_t session, std::size_t index) override {
-    ++items_;
-    const std::size_t want =
-        next_[session].fetch_add(1, std::memory_order_relaxed);
-    if (index != want) out_of_order_ = true;
-  }
-  void on_session_state(std::uint32_t, net::SessionState s) override {
-    if (s == net::SessionState::kSafetyViolation) ++violations_;
-  }
-
-  std::uint64_t items() const { return items_; }
-  std::uint64_t violations() const { return violations_; }
-  bool out_of_order() const { return out_of_order_; }
-
- private:
-  std::vector<std::atomic<std::size_t>> next_;
-  std::atomic<std::uint64_t> items_{0};
-  std::atomic<std::uint64_t> violations_{0};
-  std::atomic<bool> out_of_order_{false};
-};
-
 TEST(NetMuxAcceptance, ThousandSessionsOverLossyReorderingLink) {
   constexpr std::size_t kSessions = 1000;
   constexpr std::size_t kLen = 3;
@@ -674,7 +673,7 @@ TEST(NetMuxAcceptance, ThousandSessionsOverLossyReorderingLink) {
   wire.seed = 0xACCE55;
   wire.max_queue = 16384;  // bounded channel: overflow is just more loss
 
-  PrefixOrderProbe probe(kSessions);
+  net::PrefixProbe probe(kSessions);
   net::MuxConfig cfg;
   cfg.workers = 2;
   cfg.steps_per_sweep = 2;
@@ -713,7 +712,7 @@ TEST(NetMuxAcceptance, ThousandSessionsOverLossyReorderingLink) {
 
   // Prefix safety held at every write, not just at the end.
   EXPECT_FALSE(probe.out_of_order());
-  EXPECT_EQ(probe.violations(), 0u);
+  EXPECT_EQ(probe.entered(net::SessionState::kSafetyViolation), 0u);
   EXPECT_EQ(probe.items(), kSessions * kLen);
   EXPECT_EQ(ss.items_done, kSessions * kLen);
 
@@ -728,9 +727,9 @@ TEST(NetMuxAcceptance, ThousandSessionsOverLossyReorderingLink) {
 
 TEST(NetMux, PumpAnswersProbesWithEchoedNonce) {
   auto link = net::make_loopback({});
-  net::CountingNetProbe counting;
+  net::FlightRecorder recorder;
   net::MuxConfig cfg;
-  cfg.probe = &counting;
+  cfg.probe = &recorder;
   net::StpServer server(link.b.get(), cfg);
   auto pp = proto::make_stenning(kDomain);
   server.add_session(1, std::move(pp.receiver), seq_for(1, 2));
@@ -762,7 +761,8 @@ TEST(NetMux, PumpAnswersProbesWithEchoedNonce) {
   }
   server.mux().stop();
   EXPECT_GE(server.mux().stats().probes_answered, 2u);
-  EXPECT_GE(counting.probes_answered(), 2u);
+  EXPECT_GE(count_events(recorder.drain(), net::TraceEventKind::kProbeAnswered),
+            2u);
   // The heartbeat never touched the hosted session.
   EXPECT_EQ(server.mux().stats().sessions_violated, 0u);
 }

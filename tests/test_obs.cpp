@@ -9,6 +9,7 @@
 #include "channel/dup_channel.hpp"
 #include "channel/schedulers.hpp"
 #include "fault/plan.hpp"
+#include "golden.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/sinks.hpp"
@@ -228,22 +229,25 @@ TEST(JsonlSink, EveryLineIsValidJson) {
   EXPECT_NE(out.str().find("\"ev\":\"write\""), std::string::npos);
 }
 
-TEST(ChromeTraceSink, ExportIsValidAndBalanced) {
-  ChromeTraceSink sink;
+/// The seeded run the ChromeTraceSink tests export.  The retransmitting
+/// protocol rides out the blackout window, so the run still completes with
+/// both fault spans on the trace.  True when the run completed.
+bool run_seeded_chaos(ChromeTraceSink& sink) {
   MetricsRegistry reg;
   MetricsProbe metrics(&reg);
   MultiProbe multi({&metrics, &sink});
-
-  // The retransmitting protocol rides out the blackout window, so the run
-  // still completes with both fault spans on the trace.
   stp::SystemSpec spec = repfree_del_spec(3);
   spec.engine.max_steps = 50000;
   spec.engine.probe = &multi;
   const auto plan = fault::plan_from_text(
       "blackout @step 5 dir SR len 15 match *\n"
       "freeze @step 3 len 4\n");
-  const auto r = stp::run_one(stp::with_chaos(spec, plan), iota(3), 13);
-  ASSERT_TRUE(r.completed);
+  return stp::run_one(stp::with_chaos(spec, plan), iota(3), 13).completed;
+}
+
+TEST(ChromeTraceSink, ExportIsValidAndBalanced) {
+  ChromeTraceSink sink;
+  ASSERT_TRUE(run_seeded_chaos(sink));
 
   const std::string json = sink.to_json();
   EXPECT_TRUE(json_valid(json)) << json.substr(0, 400);
@@ -269,6 +273,12 @@ TEST(ChromeTraceSink, ExportIsValidAndBalanced) {
 
   sink.clear();
   EXPECT_EQ(sink.to_json().find("\"ph\":\"B\""), std::string::npos);
+}
+
+TEST(ChromeTraceSink, ExportMatchesGolden) {
+  ChromeTraceSink sink;
+  ASSERT_TRUE(run_seeded_chaos(sink));
+  EXPECT_EQ(sink.to_json() + "\n", golden::read("engine_chrome_trace.json"));
 }
 
 // --- reports ------------------------------------------------------------

@@ -28,6 +28,7 @@
 
 #include "analysis/trace_pipeline.hpp"
 #include "fault/plan.hpp"
+#include "golden.hpp"
 #include "net/flight_recorder.hpp"
 #include "net/frame.hpp"
 #include "net/loopback.hpp"
@@ -390,9 +391,28 @@ TEST(TraceSinks, JsonlReadRejectsCorruptArchive) {
       "{\"ts\":1,\"seq\":0,\"ev\":\"item\",\"session\":1,\"index\":0}\n"
       "garbage\n");
   EXPECT_FALSE(net::read_trace_jsonl(is).has_value());
+
+  // Numbers are read whole and in range: no sign or space prefix, no
+  // clamping of an overlong value to the int64 limits.
+  const char* bad_numbers[] = {
+      "{\"ts\":+5,\"seq\":0,\"ev\":\"item\",\"session\":1,\"index\":0}",
+      "{\"ts\": 5,\"seq\":0,\"ev\":\"item\",\"session\":1,\"index\":0}",
+      "{\"ts\":12345678901234567890,\"seq\":0,\"ev\":\"item\","
+      "\"session\":1,\"index\":0}",
+      "{\"ts\":1,\"seq\":0,\"ev\":\"item\",\"session\":1,"
+      "\"index\":-99999999999999999999}",
+      "{\"ts\":1,\"seq\":0,\"ev\":\"item\",\"session\":1,\"index\":0,"
+      "\"backend\":+3}",
+  };
+  for (const char* line : bad_numbers) {
+    std::istringstream one(std::string(line) + "\n");
+    EXPECT_FALSE(net::read_trace_jsonl(one).has_value()) << line;
+  }
 }
 
-TEST(TraceSinks, ChromeTraceExportIsValidJson) {
+/// The wire Chrome export of the codec golden events plus two fault
+/// windows, the second overlapping the first (so it takes a second lane).
+std::string golden_wire_chrome_trace() {
   std::vector<TraceEvent> evs;
   for (const auto& c : golden_cases()) evs.push_back(c.ev);
   std::vector<net::TraceSpan> windows;
@@ -401,7 +421,11 @@ TEST(TraceSinks, ChromeTraceExportIsValidJson) {
 
   std::ostringstream os;
   net::write_wire_chrome_trace(os, evs, windows);
-  const std::string doc = os.str();
+  return os.str();
+}
+
+TEST(TraceSinks, ChromeTraceExportIsValidJson) {
+  const std::string doc = golden_wire_chrome_trace();
   EXPECT_TRUE(obs::json_valid(doc));
   EXPECT_NE(doc.find("\"session 7\""), std::string::npos);
   EXPECT_NE(doc.find("\"rejects\""), std::string::npos);
@@ -411,6 +435,11 @@ TEST(TraceSinks, ChromeTraceExportIsValidJson) {
   EXPECT_NE(doc.find("\"ph\":\"B\""), std::string::npos);
   EXPECT_NE(doc.find("\"ph\":\"E\""), std::string::npos);
   EXPECT_NE(doc.find("\"ph\":\"X\""), std::string::npos);
+}
+
+TEST(TraceSinks, ChromeTraceExportMatchesGolden) {
+  EXPECT_EQ(golden_wire_chrome_trace() + "\n",
+            golden::read("wire_chrome_trace.json"));
 }
 
 // --------------------------------------------------------------------------
@@ -654,10 +683,8 @@ struct TracedRun {
   std::size_t completed = 0;
 };
 
-/// n sessions over a lossy reordering link with a FlightRecorder on the
-/// server mux, drained periodically.  Injects one checksum-corrupted frame
-/// so the reject path is part of every traced run.
-TracedRun traced_run(std::size_t n, std::size_t len) {
+/// Periodic loss both ways plus reordering: the traced runs' link.
+net::LoopbackConfig lossy_wire() {
   net::LoopbackConfig wire_cfg;
   fault::FaultPlan plan = fault::periodic_plan(
       fault::FaultKind::kDropBurst, sim::Dir::kSenderToReceiver, 9, 1,
@@ -671,9 +698,11 @@ TracedRun traced_run(std::size_t n, std::size_t len) {
   wire_cfg.reorder_window = 4;
   wire_cfg.seed = 0xACCE55;
   wire_cfg.max_queue = 16384;
-  auto wire = net::make_loopback(wire_cfg);
+  return wire_cfg;
+}
 
-  net::FlightRecorder recorder;
+/// The traced runs' mux settings (no probe attached).
+net::MuxConfig traced_mux_config() {
   net::MuxConfig cfg;
   cfg.workers = 2;
   cfg.steps_per_sweep = 2;
@@ -681,6 +710,17 @@ TracedRun traced_run(std::size_t n, std::size_t len) {
   cfg.inbox_limit = 64;
   cfg.keepalive_sweeps = 4;
   cfg.sweep_interval = 500us;
+  return cfg;
+}
+
+/// n sessions over a lossy reordering link with a FlightRecorder on the
+/// server mux, drained periodically.  Injects one checksum-corrupted frame
+/// so the reject path is part of every traced run.
+TracedRun traced_run(std::size_t n, std::size_t len) {
+  auto wire = net::make_loopback(lossy_wire());
+
+  net::FlightRecorder recorder;
+  const net::MuxConfig cfg = traced_mux_config();
   net::MuxConfig server_cfg = cfg;
   server_cfg.probe = &recorder;
 
@@ -737,6 +777,41 @@ TracedRun traced_run(std::size_t n, std::size_t len) {
   server.mux().publish_metrics(run.server_metrics);
   recorder.publish_metrics(run.server_metrics);
   return run;
+}
+
+TEST(TraceIntegration, EverySentFrameIsTracedKeepalivesIncluded) {
+  // 64 sessions on the lossy link: lost frames leave endpoints quiescent,
+  // so both ends re-send keepalives.  Each send, keepalive or not, must
+  // reach the probe: the trace's frame-sent count is the mux's own.
+  constexpr std::size_t kSessions = 64;
+  auto wire = net::make_loopback(lossy_wire());
+  net::FlightRecorder client_rec, server_rec;
+  net::MuxConfig client_cfg = traced_mux_config();
+  client_cfg.probe = &client_rec;
+  net::MuxConfig server_cfg = traced_mux_config();
+  server_cfg.probe = &server_rec;
+  net::StpClient client(wire.a.get(), client_cfg);
+  net::StpServer server(wire.b.get(), server_cfg);
+  for (std::uint32_t id = 0; id < kSessions; ++id) {
+    auto pair = proto::make_stenning(kDomain);
+    const auto x = seq_for(id, 3);
+    client.add_session(id, std::move(pair.sender), x);
+    server.add_session(id, std::move(pair.receiver), x);
+  }
+  ASSERT_TRUE(net::run_service_pair(client, server, 120s));
+  EXPECT_GT(wire.stats(sim::Dir::kSenderToReceiver).dropped, 0u);
+
+  const auto frames_sent = [](net::FlightRecorder& rec) {
+    const auto evs = rec.drain();
+    return static_cast<std::uint64_t>(
+        std::count_if(evs.begin(), evs.end(), [](const TraceEvent& ev) {
+          return ev.kind == TraceEventKind::kFrameSent;
+        }));
+  };
+  EXPECT_EQ(client_rec.stats().dropped, 0u);
+  EXPECT_EQ(server_rec.stats().dropped, 0u);
+  EXPECT_EQ(frames_sent(client_rec), client.mux().stats().frames_sent);
+  EXPECT_EQ(frames_sent(server_rec), server.mux().stats().frames_sent);
 }
 
 TEST(TraceIntegration, MuxRunAttestsAndCountsRejects) {
