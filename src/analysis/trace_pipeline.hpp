@@ -86,8 +86,10 @@ class TracePipeline {
 
 // --- the standard analyzers ------------------------------------------------
 
-/// ack_rtt.* — sender-side data send → next inbound frame per session, the
-/// offline analogue of the mux's live net.ack_rtt_us histogram.
+/// ack_rtt.* — sender-side data send → next inbound frame per session.
+/// Retransmitted frames count too, so it is not the mux's live
+/// net.ack_rtt_us, which keeps only Karn samples (frames sent exactly once,
+/// on the sweep clock).
 std::unique_ptr<ITraceAnalyzer> make_ack_rtt_analyzer();
 
 /// item_latency.* — gaps between consecutive accepted items per session.

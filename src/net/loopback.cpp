@@ -29,32 +29,50 @@ struct Lane {
 /// own — is only ever touched under that link's mutex.
 class LoopbackCore {
  public:
-  LoopbackCore(const LoopbackConfig& cfg) : cfg_(cfg) {
+  LoopbackCore(const LoopbackConfig& cfg)
+      : reorder_window_(cfg.reorder_window), max_queue_(cfg.max_queue) {
     Rng seeder(cfg.seed);
     for (int d = 0; d < 2; ++d) {
-      links_[d].rng = seeder.split();
-      for (const auto& a : cfg.plan.actions) {
+      Link& l = links_[d];
+      l.rng = seeder.split();
+      const auto lane_of = [&](const fault::FaultAction& a) -> Lane* {
         if (fault::is_store_fault(a.kind) ||
             fault::is_corruption_fault(a.kind) ||
             a.kind == fault::FaultKind::kCrashSender ||
             a.kind == fault::FaultKind::kCrashReceiver) {
-          continue;  // no transport meaning
+          return nullptr;  // no transport meaning
         }
-        if (a.dir != static_cast<sim::Dir>(d)) continue;
-        if (a.trigger.kind == fault::TriggerKind::kWrites) continue;
-        auto& lane = a.trigger.kind == fault::TriggerKind::kSends
-                         ? links_[d].by_sends
-                         : links_[d].by_ticks;
-        lane.actions.push_back(a);
+        if (a.dir != static_cast<sim::Dir>(d)) return nullptr;
+        if (a.trigger.kind == fault::TriggerKind::kWrites) return nullptr;
+        return a.trigger.kind == fault::TriggerKind::kSends ? &l.by_sends
+                                                            : &l.by_ticks;
+      };
+      // A pair is built per run and a periodic plan holds thousands of
+      // actions: size each lane once, and sort only a lane that is out
+      // of order (periodic plans arrive sorted).
+      std::size_t sends = 0;
+      std::size_t ticks = 0;
+      for (const auto& a : cfg.plan.actions) {
+        if (const Lane* lane = lane_of(a)) {
+          ++(lane == &l.by_sends ? sends : ticks);
+        }
+      }
+      l.by_sends.actions.reserve(sends);
+      l.by_ticks.actions.reserve(ticks);
+      for (const auto& a : cfg.plan.actions) {
+        if (Lane* lane = lane_of(a)) lane->actions.push_back(a);
       }
       const auto by_at = [](const fault::FaultAction& x,
                             const fault::FaultAction& y) {
         return x.trigger.at < y.trigger.at;
       };
-      std::stable_sort(links_[d].by_sends.actions.begin(),
-                       links_[d].by_sends.actions.end(), by_at);
-      std::stable_sort(links_[d].by_ticks.actions.begin(),
-                       links_[d].by_ticks.actions.end(), by_at);
+      for (Lane* lane : {&l.by_sends, &l.by_ticks}) {
+        if (!std::is_sorted(lane->actions.begin(), lane->actions.end(),
+                            by_at)) {
+          std::stable_sort(lane->actions.begin(), lane->actions.end(),
+                           by_at);
+        }
+      }
     }
   }
 
@@ -75,7 +93,7 @@ class LoopbackCore {
       return false;
     }
     if ((l.cap > 0 && l.queue.size() >= l.cap) ||
-        (cfg_.max_queue > 0 && l.queue.size() >= cfg_.max_queue)) {
+        (max_queue_ > 0 && l.queue.size() >= max_queue_)) {
       ++l.stats.shed;
       return false;
     }
@@ -101,9 +119,9 @@ class LoopbackCore {
     }
     if (l.queue.empty()) return std::nullopt;
     std::size_t idx = 0;
-    if (cfg_.reorder_window > 1) {
+    if (reorder_window_ > 1) {
       idx = static_cast<std::size_t>(l.rng.below(
-          std::min<std::uint64_t>(cfg_.reorder_window, l.queue.size())));
+          std::min<std::uint64_t>(reorder_window_, l.queue.size())));
     }
     std::vector<std::uint8_t> out = std::move(l.queue[idx]);
     l.queue.erase(l.queue.begin() + static_cast<std::ptrdiff_t>(idx));
@@ -235,7 +253,9 @@ class LoopbackCore {
     }
   }
 
-  LoopbackConfig cfg_;
+  // Only the scalars of the config: the plan lives on in the lanes.
+  std::size_t reorder_window_;
+  std::size_t max_queue_;
   Link links_[2];
 };
 

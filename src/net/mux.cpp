@@ -1,6 +1,7 @@
 #include "net/mux.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "util/expect.hpp"
@@ -9,10 +10,6 @@ namespace stpx::net {
 
 namespace {
 
-/// Cap on the send-timestamp FIFO used for ack-RTT sampling: with heavy
-/// retransmission the FIFO would otherwise grow without bound and skew
-/// samples toward ancient sends.
-constexpr std::size_t kMaxPendingSends = 64;
 /// Cap on stored RTT samples per session.
 constexpr std::size_t kMaxRttSamples = 4096;
 /// Cap on durability-gated frames held per session between checkpoint
@@ -28,6 +25,24 @@ std::uint64_t us_between(std::chrono::steady_clock::time_point from,
 }
 
 }  // namespace
+
+void RttEstimator::sample(std::uint64_t rtt_us) {
+  const std::uint64_t r = std::min(rtt_us, kMaxRtoUs);
+  if (!seeded_) {
+    seeded_ = true;
+    srtt_us_ = r;
+    rttvar_us_ = r / 2;
+    return;
+  }
+  const std::uint64_t err = srtt_us_ > r ? srtt_us_ - r : r - srtt_us_;
+  rttvar_us_ = (3 * rttvar_us_ + err) / 4;
+  srtt_us_ = (7 * srtt_us_ + r) / 8;
+}
+
+std::uint64_t RttEstimator::rto_us(bool backed_off) const {
+  const std::uint64_t rto = srtt_us_ + 4 * rttvar_us_;
+  return std::min(backed_off ? 2 * rto : rto, kMaxRtoUs);
+}
 
 SessionMux::SessionMux(ITransport* transport, MuxConfig cfg)
     : transport_(transport), cfg_(cfg) {
@@ -320,45 +335,32 @@ void SessionMux::worker_loop(std::stop_token st, std::size_t shard_idx) {
 
 void SessionMux::sweep(Shard& shard) {
   ++shard.sweep_no;
+  shard.now = std::chrono::steady_clock::now();
   for (const std::size_t idx : shard.members) {
     Session& s = *sessions_[idx];
-    std::deque<Frame> arrived;
+    std::vector<Frame>& arrived = shard.arrived;
+    arrived.clear();
     {
       std::lock_guard<std::mutex> hold(shard.mu);
       arrived.swap(s.inbox);
     }
     const bool got_inbound = !arrived.empty();
-    for (const Frame& f : arrived) deliver(s, f);
+    for (const Frame& f : arrived) deliver(shard, s, f);
 
     if (s.state != SessionState::kActive) {
       // Completed receivers re-FIN when the peer retransmits (FIN loss
       // healing); at most one per sweep.
       if (s.refin_pending) {
         s.refin_pending = false;
-        emit(s, FrameKind::kFin,
+        emit(shard, s, FrameKind::kFin,
              static_cast<sim::MsgId>(s.endpoint->items_done()));
       }
       continue;
     }
 
-    step_session(s);
+    step_session(shard, s);
     if (s.state != SessionState::kActive) continue;
-
-    // Keepalive: a quiescent endpoint re-sends its last frame so a lost
-    // FIN or a lost cumulative ack cannot wedge the pair forever.  For
-    // durable receivers last_data_frame is only ever a RELEASED (i.e.
-    // checkpoint-covered) ack, so the resend needs no fresh gating.
-    if (cfg_.keepalive_sweeps > 0 &&
-        s.quiet_sweeps >= cfg_.keepalive_sweeps &&
-        !s.last_data_frame.empty()) {
-      s.quiet_sweeps = 0;
-      transmit(s, s.last_data, s.last_data_frame);
-      if (s.is_sender) {
-        if (s.pending_sends.size() < kMaxPendingSends) {
-          s.pending_sends.push_back(std::chrono::steady_clock::now());
-        }
-      }
-    }
+    maybe_resend(shard, s);
 
     if (got_inbound) {
       s.idle_sweeps = 0;
@@ -382,7 +384,7 @@ void SessionMux::sweep(Shard& shard) {
   }
 }
 
-void SessionMux::deliver(Session& s, const Frame& f) {
+void SessionMux::deliver(Shard& shard, Session& s, const Frame& f) {
   ++s.frames_in;
   s.idle_sweeps = 0;
   s.dirty = true;  // any inbound frame may move durable protocol state
@@ -396,14 +398,14 @@ void SessionMux::deliver(Session& s, const Frame& f) {
     return;
   }
   if (s.is_sender) {
-    if (!s.pending_sends.empty()) {
-      const auto sent_at = s.pending_sends.front();
-      s.pending_sends.pop_front();
-      if (s.ack_rtt_us.size() < kMaxRttSamples) {
-        s.ack_rtt_us.push_back(
-            us_between(sent_at, std::chrono::steady_clock::now()));
-      }
+    // Karn: the first inbound after a frame answers it, and it times the
+    // round trip only if that frame went out exactly once.
+    if (!s.answered && s.sends == 1) {
+      const std::uint64_t rtt = us_between(s.first_sent, shard.now);
+      shard.rtt.sample(rtt);
+      if (s.ack_rtt_us.size() < kMaxRttSamples) s.ack_rtt_us.push_back(rtt);
     }
+    s.answered = true;
     if (s.inflight > 0) --s.inflight;
   }
   if (f.kind == FrameKind::kFin) {
@@ -414,8 +416,12 @@ void SessionMux::deliver(Session& s, const Frame& f) {
   s.endpoint->on_deliver(f.msg);
 }
 
-void SessionMux::step_session(Session& s) {
-  const std::uint64_t frames_out_before = s.frames_out;
+void SessionMux::step_session(Shard& shard, Session& s) {
+  // Reply-clocked repeats need the retransmit timer behind them: a copy
+  // held back is a deletion, and only the timer keeps a wanted frame
+  // going out infinitely often.
+  const bool clocked = cfg_.keepalive_sweeps > 0;
+  std::optional<sim::MsgId> said;  // the last data frame of this sweep
   for (std::size_t i = 0; i < cfg_.steps_per_sweep; ++i) {
     if (s.is_sender && cfg_.max_inflight > 0 &&
         s.inflight >= cfg_.max_inflight) {
@@ -442,19 +448,54 @@ void SessionMux::step_session(Session& s) {
       return;
     }
     if (!s.is_sender && s.endpoint->done()) {
-      if (out) emit(s, FrameKind::kData, *out);
-      emit(s, FrameKind::kFin,
+      if (out && out != said) emit(shard, s, FrameKind::kData, *out);
+      emit(shard, s, FrameKind::kFin,
            static_cast<sim::MsgId>(s.endpoint->items_done()));
       finalize(s, SessionState::kCompleted);
       return;
     }
     if (!out) break;  // quiescent this sweep
-    emit(s, FrameKind::kData, *out);
+    // A copy that says nothing new is held back: a receiver sends each
+    // frame at most once per sweep, and a sender repeats its last frame
+    // only once an inbound frame has answered it.
+    if (out == said) continue;
+    if (s.is_sender && clocked && !s.answered && s.sends > 0 &&
+        *out == s.last_data.msg) {
+      continue;
+    }
+    emit(shard, s, FrameKind::kData, *out);
+    said = out;
   }
-  s.quiet_sweeps = s.frames_out == frames_out_before ? s.quiet_sweeps + 1 : 0;
+  // An emit counts even when durability gating holds the frame back: the
+  // session is speaking, so it needs no keepalive.
+  s.quiet_sweeps = said ? 0 : s.quiet_sweeps + 1;
 }
 
-void SessionMux::emit(Session& s, FrameKind kind, sim::MsgId msg) {
+void SessionMux::maybe_resend(Shard& shard, Session& s) {
+  // Keepalive: a quiescent endpoint re-sends its last frame so a lost
+  // FIN or a lost cumulative ack cannot wedge the pair forever.  For
+  // durable receivers last_data_frame is only ever a RELEASED (i.e.
+  // checkpoint-covered) ack, so the resend needs no fresh gating.
+  if (cfg_.keepalive_sweeps == 0 || s.quiet_sweeps < cfg_.keepalive_sweeps ||
+      s.last_data_frame.empty()) {
+    return;
+  }
+  // A sender frame nothing has answered yet is a retransmission: it
+  // also waits out the shard's RTO since its latest send, doubled once
+  // the frame has gone out more than once (Karn's timer back-off).  One
+  // doubling only: more leave a sender that retried into a killed peer
+  // waiting out a long timer once the restarted peer is back.
+  if (s.is_sender && !s.answered &&
+      us_between(s.last_sent, shard.now) <
+          shard.rtt.rto_us(/*backed_off=*/s.sends > 1)) {
+    return;
+  }
+  s.quiet_sweeps = 0;
+  send_now(shard, s, s.last_data, s.last_data_frame);
+}
+
+void SessionMux::emit(Shard& shard, Session& s, FrameKind kind,
+                      sim::MsgId msg) {
   Frame f;
   f.kind = kind;
   f.dir = s.is_sender ? sim::Dir::kSenderToReceiver
@@ -474,36 +515,34 @@ void SessionMux::emit(Session& s, FrameKind kind, sim::MsgId msg) {
     s.held.emplace_back(f, std::move(bytes));
     return;
   }
-  send_now(s, f, bytes);
+  send_now(shard, s, f, bytes);
+  if (s.is_sender) ++s.inflight;  // maybe_resend()'s copies take none
 }
 
-void SessionMux::transmit(Session& s, const Frame& f,
+void SessionMux::send_now(Shard& shard, Session& s, const Frame& f,
                           const std::vector<std::uint8_t>& bytes) {
   transport_->send(bytes);  // shed == lost; the protocol retransmits
   ++s.frames_out;
   n_.frames_sent.fetch_add(1, std::memory_order_relaxed);
   if (cfg_.probe != nullptr) cfg_.probe->on_frame_sent(s.id, f);
-}
-
-void SessionMux::send_now(Session& s, const Frame& f,
-                          const std::vector<std::uint8_t>& bytes) {
-  transmit(s, f, bytes);
   if (f.kind == FrameKind::kFin) {
     n_.fins_sent.fetch_add(1, std::memory_order_relaxed);
   } else {
-    s.last_data_frame = bytes;
-    s.last_data = f;
-  }
-  if (s.is_sender) {
-    ++s.inflight;
-    if (s.pending_sends.size() < kMaxPendingSends) {
-      s.pending_sends.push_back(std::chrono::steady_clock::now());
+    if (s.sends > 0 && f == s.last_data) {
+      ++s.sends;  // a repeat: Karn will not time its answer
+    } else {
+      s.last_data_frame = bytes;
+      s.last_data = f;
+      s.first_sent = shard.now;
+      s.sends = 1;
     }
+    s.last_sent = shard.now;
+    s.answered = false;
   }
 }
 
-void SessionMux::release_held(Session& s) {
-  for (auto& [f, bytes] : s.held) send_now(s, f, bytes);
+void SessionMux::release_held(Shard& shard, Session& s) {
+  for (auto& [f, bytes] : s.held) send_now(shard, s, f, bytes);
   s.held.clear();
 }
 
@@ -561,7 +600,7 @@ void SessionMux::flush_shard(Shard& shard, bool force) {
   // Everything held is now covered by a durable record (this batch, or
   // an earlier one when the state never moved): release.
   for (const std::size_t idx : shard.members) {
-    release_held(*sessions_[idx]);
+    release_held(shard, *sessions_[idx]);
   }
 }
 

@@ -14,7 +14,11 @@
 //     drain the inbox into sessions, then step each active session under
 //     a per-sweep send budget and a bounded in-flight credit
 //     (backpressure), encode outgoing messages, and hand them to the
-//     transport.
+//     transport.  A copy that says nothing new is held back — a deletion
+//     the protocols tolerate: a receiver sends a frame at most once per
+//     sweep, and a sender repeats its last frame only after an inbound
+//     frame answered it.  A frame nothing answers is re-sent by a timer
+//     (keepalive_sweeps quiet sweeps and the shard's RTT-derived RTO).
 //   * Completion is wire-level: when a receiver session's tape equals its
 //     expected sequence it emits a FIN frame; the sender session marks
 //     itself completed when the FIN arrives.  FIN loss is healed by
@@ -54,7 +58,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -166,7 +169,9 @@ struct MuxConfig {
   /// Bounded in-flight credit per sender session: stepping pauses while
   /// (frames sent - frames received) >= max_inflight.  Receiver-side
   /// re-acks decay the credit, so a burst of losses stalls the session
-  /// only until the next keepalive round-trip.
+  /// only until the next keepalive round-trip.  With keepalive on, a
+  /// sender also repeats its last data frame only after an inbound frame
+  /// answered it (docs/NETWORK.md, "In-flight credit").
   std::size_t max_inflight = 32;
   /// Per-session inbox bound; overflow frames are shed (backpressure —
   /// indistinguishable from wire loss, which the protocols tolerate).
@@ -176,7 +181,9 @@ struct MuxConfig {
   std::uint64_t idle_eviction_sweeps = 0;
   /// Quiescent-sender keepalive: after this many consecutive sweeps with
   /// nothing to send, re-send the last data frame (0 = off).  Receiver
-  /// sessions use the same cadence to refresh their cumulative ack.
+  /// sessions use the same cadence to refresh their cumulative ack.  A
+  /// sender frame no inbound has answered yet also waits out the shard's
+  /// retransmit timeout (RttEstimator) before it is re-sent.
   std::uint64_t keepalive_sweeps = 8;
   /// Worker sweep cadence and pump idle backoff.
   std::chrono::microseconds sweep_interval{200};
@@ -254,9 +261,38 @@ struct SessionReport {
   std::size_t items = 0;
   std::uint64_t frames_in = 0;
   std::uint64_t frames_out = 0;
-  /// Send-to-next-inbound round-trip samples, microseconds (sender
-  /// sessions; mirrors the engine metric ack_rtt).
+  /// Karn round-trip samples, microseconds (sender sessions; mirrors the
+  /// engine metric ack_rtt): from a data frame's send to the first
+  /// inbound frame after it, taken only for frames sent exactly once.
+  /// Both ends are read off the sweep clock (one clock read per sweep),
+  /// so a sample is the time between two sweep starts: at least one
+  /// sweep period.
   std::vector<std::uint64_t> ack_rtt_us;
+};
+
+/// The RFC 6298 round-trip estimator behind the retransmit timer, one per
+/// shard, fed by the same Karn samples as SessionReport::ack_rtt_us.
+/// rto_us() is SRTT + 4·RTTVAR, capped at kMaxRtoUs; before the first
+/// sample it is 0, which leaves the keepalive_sweeps floor alone in
+/// charge.  There is no RFC minimum: the sweep floor plays that part.
+class RttEstimator {
+ public:
+  /// The retransmit-timeout cap: a silent peer is retried at least this
+  /// often (after the keepalive floor).  Well above the hold-inclusive
+  /// round trips of a loaded durable mux (tens of ms), and half the
+  /// RFC's 1 s initial timeout.  Samples are clamped to it, so the
+  /// arithmetic cannot overflow.
+  static constexpr std::uint64_t kMaxRtoUs = 500'000;
+
+  void sample(std::uint64_t rtt_us);
+  /// `backed_off` doubles the timeout, once (Karn's timer back-off, for
+  /// a frame already sent more than once); the cap holds either way.
+  std::uint64_t rto_us(bool backed_off = false) const;
+
+ private:
+  bool seeded_ = false;
+  std::uint64_t srtt_us_ = 0;
+  std::uint64_t rttvar_us_ = 0;
 };
 
 /// What rehydrate() found and did (docs/RECOVERY.md).
@@ -363,13 +399,16 @@ class SessionMux {
     std::unique_ptr<proto::ISessionEndpoint> endpoint;
     SessionState state = SessionState::kActive;
     // --- inbox: filled by the pump under the shard mutex ----------------
-    std::deque<Frame> inbox;
+    // A vector, not a deque: it allocates nothing until a frame arrives,
+    // and the sweep swaps it with the shard's scratch, so buffers are
+    // reused instead of allocated per session and sweep.
+    std::vector<Frame> inbox;
     // --- worker-private state (shard owner only) ------------------------
     std::uint64_t frames_in = 0;
     std::uint64_t frames_out = 0;
     std::size_t inflight = 0;        // sent minus received, floored at 0
     std::uint64_t idle_sweeps = 0;   // sweeps since last inbound frame
-    std::uint64_t quiet_sweeps = 0;  // sweeps since last outbound frame
+    std::uint64_t quiet_sweeps = 0;  // sweeps since last emitted frame
     std::size_t items_reported = 0;  // probe on_item high-water mark
     bool refin_pending = false;      // completed receiver saw a retransmit
     bool dirty = false;              // state may have moved since last flush
@@ -388,7 +427,12 @@ class SessionMux {
     std::vector<std::pair<Frame, std::vector<std::uint8_t>>> held;
     std::vector<std::uint8_t> last_data_frame;  // keepalive payload
     Frame last_data;                            // ... and its header
-    std::deque<std::chrono::steady_clock::time_point> pending_sends;
+    // The last data frame's send history, on the sweep clock: the Karn
+    // sampler and the retransmit timer read it.
+    std::chrono::steady_clock::time_point first_sent{};  // its first send
+    std::chrono::steady_clock::time_point last_sent{};   // its latest send
+    std::uint32_t sends = 0;  // copies of it sent so far
+    bool answered = false;    // an inbound frame arrived since last_sent
     std::vector<std::uint64_t> ack_rtt_us;
   };
 
@@ -398,6 +442,11 @@ class SessionMux {
     std::uint64_t sweep_no = 0;        // drives the checkpoint cadence
     std::size_t slot = 0;              // index into slots_
     std::size_t idx = 0;               // own index (probe attribution)
+    // The sweep clock: read once at the start of each sweep, it stamps
+    // every send and RTT sample of that sweep.
+    std::chrono::steady_clock::time_point now{};
+    RttEstimator rtt;  // worker-private, like the sessions
+    std::vector<Frame> arrived;  // swapped with each inbox in turn
   };
 
   /// One session store plus the mutex serializing shard access to it
@@ -411,16 +460,21 @@ class SessionMux {
   void worker_loop(std::stop_token st, std::size_t shard_idx);
   /// One pass over a shard: drain inboxes, step sessions, emit frames.
   void sweep(Shard& shard);
-  void deliver(Session& s, const Frame& f);
-  void step_session(Session& s);
-  void emit(Session& s, FrameKind kind, sim::MsgId msg);
-  /// The unconditional tail of emit(): transport send + accounting.
-  void send_now(Session& s, const Frame& f,
+  void deliver(Shard& shard, Session& s, const Frame& f);
+  void step_session(Shard& shard, Session& s);
+  /// Re-send the last data frame if a keepalive or the retransmit timer
+  /// is due (see MuxConfig::keepalive_sweeps).
+  void maybe_resend(Shard& shard, Session& s);
+  void emit(Shard& shard, Session& s, FrameKind kind, sim::MsgId msg);
+  /// The one send bottleneck, shared by emit(), the release of held
+  /// frames and maybe_resend(): hand `bytes` to the transport, count the
+  /// frame, notify, and keep the last data frame's send history.
+  void send_now(Shard& shard, Session& s, const Frame& f,
                 const std::vector<std::uint8_t>& bytes);
   /// Group-commit every dirty session of the shard as one manifest
   /// batch, then release all held frames (they are now covered).
   void flush_shard(Shard& shard, bool force);
-  void release_held(Session& s);
+  void release_held(Shard& shard, Session& s);
   void finalize(Session& s, SessionState state);
   bool durable() const { return !slots_.empty(); }
   /// Route one decoded frame to its session's inbox.
@@ -456,10 +510,6 @@ class SessionMux {
   } n_;
   /// The one reject bottleneck: count (total + per reason) and notify.
   void note_reject(RejectReason why);
-  /// The one send bottleneck, shared by send_now() and the keepalive:
-  /// hand `bytes` to the transport, count the frame and notify.
-  void transmit(Session& s, const Frame& f,
-                const std::vector<std::uint8_t>& bytes);
 
   std::vector<std::jthread> workers_;
   std::jthread pump_;

@@ -34,6 +34,7 @@ namespace {
 //   1                      rejects (session-unattributable)
 //   2 .. 2+lanes-1         fault-window lanes (packed by the writer)
 //   then one per shard     checkpoint flushes
+//   then one, if any       fabric probes answered (no session of their own)
 //   then one per session   everything session-scoped
 constexpr int kTidRejects = 1;
 constexpr int kTidFaultBase = 2;
@@ -110,12 +111,15 @@ void write_wire_chrome_trace(std::ostream& out,
   obs::ChromeTraceWriter doc("stpx wire", std::move(lanes), kTidFaultBase);
   doc.track(kTidRejects, "rejects");
 
-  // Shard (flush) and session tracks are numbered after the fault lanes.
+  // Shard (flush), probe and session tracks follow the fault lanes.
   std::map<std::uint32_t, int> shard_tid;
   std::map<std::uint32_t, int> session_tid;
+  bool probes = false;
   for (const TraceEvent& ev : evs) {
     if (ev.kind == TraceEventKind::kCheckpointFlush) {
       shard_tid.emplace(ev.session, 0);
+    } else if (ev.kind == TraceEventKind::kProbeAnswered) {
+      probes = true;
     } else if (ev.kind != TraceEventKind::kFrameRejected) {
       session_tid.emplace(ev.session, 0);
     }
@@ -125,6 +129,8 @@ void write_wire_chrome_trace(std::ostream& out,
     tid = next_tid++;
     doc.track(tid, "flush shard " + std::to_string(shard));
   }
+  const int probe_tid = probes ? next_tid++ : 0;
+  if (probes) doc.track(probe_tid, "fabric probes");
   for (auto& [session, tid] : session_tid) {
     tid = next_tid++;
     doc.track(tid, "session " + std::to_string(session));
@@ -138,8 +144,9 @@ void write_wire_chrome_trace(std::ostream& out,
                instant_args(ev), std::max<std::uint64_t>(ev.aux, 1)});
       continue;
     }
-    const int tid = ev.kind == TraceEventKind::kFrameRejected
-                        ? kTidRejects
+    const int tid = ev.kind == TraceEventKind::kFrameRejected ? kTidRejects
+                    : ev.kind == TraceEventKind::kProbeAnswered
+                        ? probe_tid
                         : session_tid.at(ev.session);
     doc.add({ev.ts_us, tid, instant_name(ev), instant_args(ev), 0});
   }

@@ -139,8 +139,10 @@ class MetricsRegistry {
 ///   counters   net.frames.sent / received / rejected / unknown_session /
 ///              shed, net.fins.sent, net.items.done, net.verdict.<state>
 ///   gauges     net.sessions.active
-///   histograms net.ack_rtt_us (sender frame send -> next inbound frame,
-///              microseconds — the wire analogue of ack_rtt)
+///   histograms net.ack_rtt_us (Karn samples, microseconds: a sender data
+///              frame's send -> the first inbound frame after it, only for
+///              frames sent exactly once, read off the sweep clock — the
+///              wire analogue of ack_rtt)
 class MetricsProbe final : public IProbe {
  public:
   /// `registry` is non-owning and must outlive the probe's use.

@@ -36,6 +36,7 @@
 #include "obs/metrics.hpp"
 #include "proto/session_adapter.hpp"
 #include "proto/suite.hpp"
+#include "store/stable_store.hpp"
 #include "util/expect.hpp"
 #include "util/rng.hpp"
 
@@ -649,6 +650,287 @@ TEST(NetMux, PublishesMetrics) {
   run.client->mux().publish_metrics(creg);
   ASSERT_EQ(creg.histograms().count("net.ack_rtt_us"), 1u);
   EXPECT_GT(creg.histograms().at("net.ack_rtt_us").count(), 0u);
+}
+
+// --------------------------------------------------------------------------
+// Retransmission: reply-clocked repeats, the RTO timer, Karn sampling.
+//
+// Each run puts a TickEndpoint beside the session under test in a
+// one-worker mux: it sends a fresh message on every step, so its frames on
+// the wire count the mux's sweeps exactly, whatever the host's load.
+// --------------------------------------------------------------------------
+
+/// Never finishes; step k returns k / per_msg.
+class TickEndpoint final : public proto::ISessionEndpoint {
+ public:
+  explicit TickEndpoint(sim::MsgId per_msg = 1) : per_msg_(per_msg) {}
+  void on_deliver(sim::MsgId) override {}
+  std::optional<sim::MsgId> step() override { return calls_++ / per_msg_; }
+  bool done() const override { return false; }
+  bool safety_ok() const override { return true; }
+  std::size_t items_done() const override { return 0; }
+  std::string name() const override { return "tick"; }
+
+ private:
+  sim::MsgId per_msg_;
+  sim::MsgId calls_ = 0;
+};
+
+constexpr std::uint32_t kTested = 1;
+constexpr std::uint32_t kTick = 2;
+
+/// The far end of a mux's wire: every frame it sent, in order, and the
+/// sweep each went out in (counted from the tick session's fresh
+/// messages, so a re-sent tick does not count).
+struct WireTap {
+  net::ITransport* end = nullptr;
+  std::size_t ticks_per_sweep = 1;
+  std::vector<net::Frame> frames;
+
+  void poll() {
+    while (auto bytes = end->poll()) {
+      if (auto f = net::decode(*bytes)) frames.push_back(*f);
+    }
+  }
+  /// Sweep of each frame of `session`.  The tick session is registered
+  /// after it, so it speaks last in every sweep.
+  std::vector<std::size_t> sweeps_of(std::uint32_t session) const {
+    std::vector<std::size_t> out;
+    std::size_t ticks = 0;
+    for (const auto& f : frames) {
+      if (f.session == kTick) ticks = std::max<std::size_t>(ticks, f.msg + 1);
+      if (f.session == session) out.push_back(ticks / ticks_per_sweep);
+    }
+    return out;
+  }
+  /// Sweeps completed so far.
+  std::size_t sweeps() const {
+    const auto ticks = sweeps_of(kTick);
+    return ticks.empty() ? 0 : ticks.back();
+  }
+  template <class Pred>
+  bool wait_until(Pred pred) {
+    const auto deadline = std::chrono::steady_clock::now() + 20s;
+    while (!pred()) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(200us);
+      poll();
+    }
+    return true;
+  }
+};
+
+net::MuxConfig tick_cfg(std::size_t steps, std::uint64_t keepalive) {
+  net::MuxConfig cfg;
+  cfg.workers = 1;  // one shard: the tick shares every sweep
+  cfg.steps_per_sweep = steps;
+  cfg.max_inflight = 8;
+  cfg.keepalive_sweeps = keepalive;
+  cfg.sweep_interval = 1ms;
+  return cfg;
+}
+
+/// A Stenning sender of `len` items under test, plus the tick.
+void add_sender_and_tick(net::SessionMux& mux, std::size_t len) {
+  mux.add_session(kTested,
+                  std::make_unique<proto::SenderSessionEndpoint>(
+                      proto::make_stenning(kDomain).sender,
+                      seq_for(kTested, len)),
+                  true);
+  mux.add_session(kTick, std::make_unique<TickEndpoint>(), false);
+}
+
+void reply(net::ITransport& end, net::FrameKind kind, sim::MsgId msg) {
+  end.send(frame_bytes(kTested, msg, sim::Dir::kReceiverToSender, kind));
+}
+
+TEST(NetMuxRetransmit, SilentPeerGetsOneFramePlusTimerResends) {
+  // Nothing ever answers: no RTT sample, so the timer is the keepalive
+  // floor alone.  The sender sends its frame once, then once every K
+  // sweeps — not a copy per step until its 8-frame credit runs out.
+  constexpr std::uint64_t kKeepalive = 4;
+  auto wire = net::make_loopback();
+  net::SessionMux mux(wire.a.get(), tick_cfg(2, kKeepalive));
+  add_sender_and_tick(mux, 4);
+  WireTap tap{wire.b.get(), 2, {}};
+  mux.start();
+  ASSERT_TRUE(tap.wait_until([&] { return tap.sweeps() >= 40; }));
+  mux.stop();
+  tap.poll();
+
+  const auto at = tap.sweeps_of(kTested);
+  ASSERT_GE(at.size(), 5u);
+  EXPECT_EQ(at.front(), 0u);
+  std::vector<std::size_t> gaps;
+  for (std::size_t i = 1; i < at.size(); ++i) {
+    gaps.push_back(at[i] - at[i - 1]);
+  }
+  EXPECT_EQ(gaps, std::vector<std::size_t>(gaps.size(), kKeepalive));
+  EXPECT_LE(at.size(), 1 + tap.sweeps() / kKeepalive);
+  EXPECT_EQ(mux.stats().frames_sent, tap.frames.size());
+}
+
+TEST(NetMuxRetransmit, ReceiverSendsOneCopyOfAFramePerSweep) {
+  // Two steps per sweep, and the endpoint says the same thing on both:
+  // the second copy of each sweep is held back.
+  auto wire = net::make_loopback();
+  net::SessionMux mux(wire.b.get(), tick_cfg(2, 4));
+  mux.add_session(kTested, std::make_unique<TickEndpoint>(2), false);
+  mux.start();
+  WireTap tap{wire.a.get(), 1, {}};
+  ASSERT_TRUE(tap.wait_until([&] { return tap.frames.size() >= 30; }));
+  mux.stop();
+  tap.poll();
+
+  std::vector<sim::MsgId> got, want;
+  for (const auto& f : tap.frames) {
+    want.push_back(static_cast<sim::MsgId>(got.size()));
+    got.push_back(f.msg);
+  }
+  EXPECT_EQ(got, want);
+}
+
+TEST(NetMuxRetransmit, AnsweredSenderStillKeepalivesAfterALostFin) {
+  // The ack comes back late, so its Karn sample makes an RTO of ~3x that
+  // delay.  The FIN is lost.  The sender's frame WAS answered, so it
+  // re-sends on the plain keepalive cadence, K sweeps after its send,
+  // instead of waiting out the RTO.
+  constexpr std::uint64_t kKeepalive = 20;
+  auto wire = net::make_loopback();
+  net::SessionMux mux(wire.a.get(), tick_cfg(1, kKeepalive));
+  add_sender_and_tick(mux, 1);
+  WireTap tap{wire.b.get(), 1, {}};
+  mux.start();
+  ASSERT_TRUE(tap.wait_until([&] { return !tap.sweeps_of(kTested).empty(); }));
+  const std::size_t sent_at = tap.sweeps_of(kTested).front();
+  ASSERT_TRUE(tap.wait_until([&] { return tap.sweeps() >= sent_at + 12; }));
+  reply(*wire.b, net::FrameKind::kData, 1);  // ack(1); its FIN is lost
+  ASSERT_TRUE(
+      tap.wait_until([&] { return tap.sweeps_of(kTested).size() >= 2; }));
+  reply(*wire.b, net::FrameKind::kFin, 1);
+  ASSERT_TRUE(tap.wait_until(
+      [&] { return mux.stats().sessions_completed == 1; }));
+  mux.stop();
+
+  const auto at = tap.sweeps_of(kTested);
+  EXPECT_EQ(at[1] - at[0], kKeepalive);
+}
+
+TEST(NetMuxRetransmit, UnansweredFrameWaitsOutTheRto) {
+  // Item 0 is acked ~140 sweeps after its one send: a Karn sample of
+  // R ~ 140 sweep periods, so an RTO of 3R.  Item 1 then goes unanswered
+  // past the keepalive floor of 200 sweeps, and is not re-sent there:
+  // the RTO since its send has not run out yet.
+  constexpr std::uint64_t kKeepalive = 200;
+  auto wire = net::make_loopback();
+  net::SessionMux mux(wire.a.get(), tick_cfg(1, kKeepalive));
+  add_sender_and_tick(mux, 2);
+  WireTap tap{wire.b.get(), 1, {}};
+  mux.start();
+  ASSERT_TRUE(tap.wait_until([&] { return !tap.sweeps_of(kTested).empty(); }));
+  const std::size_t sent_at = tap.sweeps_of(kTested).front();
+  ASSERT_TRUE(tap.wait_until([&] { return tap.sweeps() >= sent_at + 140; }));
+  reply(*wire.b, net::FrameKind::kData, 1);
+  ASSERT_TRUE(
+      tap.wait_until([&] { return tap.sweeps_of(kTested).size() >= 2; }));
+  const auto item1_seen = std::chrono::steady_clock::now();
+  const std::size_t item1_at = tap.sweeps_of(kTested)[1];
+  ASSERT_TRUE(tap.wait_until(
+      [&] { return tap.sweeps() >= item1_at + kKeepalive + 10; }));
+  const auto window_end = std::chrono::steady_clock::now();
+  const std::size_t copies = tap.sweeps_of(kTested).size();
+  reply(*wire.b, net::FrameKind::kData, 2);
+  reply(*wire.b, net::FrameKind::kFin, 2);
+  ASSERT_TRUE(tap.wait_until(
+      [&] { return mux.stats().sessions_completed == 1; }));
+  mux.stop();
+
+  const auto reports = mux.reports();
+  ASSERT_FALSE(reports[0].ack_rtt_us.empty());  // item 0 went out once
+  // One sample R: SRTT R, RTTVAR R/2, so an RTO of 3R, under the cap.
+  const std::uint64_t rto_us = std::min<std::uint64_t>(
+      3 * reports[0].ack_rtt_us.front(), net::RttEstimator::kMaxRtoUs);
+  ASSERT_GT(rto_us, 200'000u);  // above the floor of 200 x 1 ms
+  // A loaded host can stretch the window past the RTO, and then a re-send
+  // is right: the window cannot be judged.  The slack covers this thread
+  // noticing item 1 late.
+  const auto window_us = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(window_end -
+                                                            item1_seen)
+          .count());
+  if (window_us >= rto_us * 4 / 5) {
+    GTEST_SKIP() << "window of " << window_us << " us too close to the RTO of "
+                 << rto_us << " us to judge";
+  }
+  EXPECT_EQ(copies, 2u);  // item 0 once, item 1 once
+}
+
+TEST(NetMuxRetransmit, RepeatedFrameYieldsNoRttSample) {
+  // Karn: once a frame has gone out twice, an answer cannot tell which
+  // copy it answers, so it is not timed.
+  auto wire = net::make_loopback();
+  net::SessionMux mux(wire.a.get(), tick_cfg(2, 4));
+  add_sender_and_tick(mux, 1);
+  WireTap tap{wire.b.get(), 2, {}};
+  mux.start();
+  ASSERT_TRUE(
+      tap.wait_until([&] { return tap.sweeps_of(kTested).size() >= 2; }));
+  reply(*wire.b, net::FrameKind::kData, 1);
+  reply(*wire.b, net::FrameKind::kFin, 1);
+  ASSERT_TRUE(tap.wait_until(
+      [&] { return mux.stats().sessions_completed == 1; }));
+  mux.stop();
+
+  const auto reports = mux.reports();
+  ASSERT_EQ(reports[0].id, kTested);
+  EXPECT_EQ(reports[0].state, net::SessionState::kCompleted);
+  EXPECT_TRUE(reports[0].ack_rtt_us.empty());
+}
+
+TEST(NetMuxRetransmit, DurableReceiverThatAcksEverySweepSendsNoKeepalive) {
+  // Its acks wait in the write-ahead hold until the sweep's checkpoint
+  // flush, but it is speaking every sweep: one ack per sweep, and no
+  // keepalive on top.
+  store::MemStore st;
+  st.reset();
+  auto wire = net::make_loopback();
+  net::MuxConfig cfg = tick_cfg(1, 4);
+  cfg.session_stores = {&st};
+  net::SessionMux mux(wire.b.get(), cfg);
+  mux.add_session(kTested,
+                  std::make_unique<proto::ReceiverSessionEndpoint>(
+                      proto::make_stenning(kDomain).receiver,
+                      seq_for(kTested, 4)),
+                  false);
+  mux.add_session(kTick, std::make_unique<TickEndpoint>(), false);
+  mux.start();
+  WireTap tap{wire.a.get(), 1, {}};
+  ASSERT_TRUE(tap.wait_until([&] { return tap.sweeps() >= 40; }));
+  mux.stop();
+  tap.poll();
+
+  EXPECT_EQ(tap.sweeps_of(kTested).size(), tap.sweeps());
+}
+
+TEST(NetMuxRetransmit, RtoFollowsRfc6298AndNeverExceedsItsCap) {
+  net::RttEstimator rtt;
+  EXPECT_EQ(rtt.rto_us(), 0u);  // no sample: the keepalive floor rules
+  rtt.sample(1000);              // SRTT 1000, RTTVAR 500
+  EXPECT_EQ(rtt.rto_us(), 3000u);
+  EXPECT_EQ(rtt.rto_us(/*backed_off=*/true), 6000u);
+  rtt.sample(2000);  // RTTVAR (3*500 + 1000)/4, SRTT (7*1000 + 2000)/8
+  EXPECT_EQ(rtt.rto_us(), 1125u + 4 * 625u);
+
+  const std::uint64_t cap = net::RttEstimator::kMaxRtoUs;
+  for (const std::uint64_t big :
+       {cap / 2, cap, 10 * cap, std::numeric_limits<std::uint64_t>::max()}) {
+    rtt.sample(big);
+    EXPECT_LE(rtt.rto_us(), cap);
+    EXPECT_LE(rtt.rto_us(/*backed_off=*/true), cap);
+  }
+  EXPECT_EQ(rtt.rto_us(), cap);
+  for (int i = 0; i < 200; ++i) rtt.sample(100);
+  EXPECT_LT(rtt.rto_us(), cap / 100);  // and comes back down
 }
 
 // --------------------------------------------------------------------------

@@ -432,6 +432,9 @@ TEST(TraceSinks, ChromeTraceExportIsValidJson) {
   EXPECT_NE(doc.find("\"flush shard 1\""), std::string::npos);
   EXPECT_NE(doc.find("\"faults\""), std::string::npos);
   EXPECT_NE(doc.find("faults (overflow lane)"), std::string::npos);
+  // Probe echoes have a track of their own, not session 0's.
+  EXPECT_NE(doc.find("\"fabric probes\""), std::string::npos);
+  EXPECT_EQ(doc.find("\"session 0\""), std::string::npos);
   EXPECT_NE(doc.find("\"ph\":\"B\""), std::string::npos);
   EXPECT_NE(doc.find("\"ph\":\"E\""), std::string::npos);
   EXPECT_NE(doc.find("\"ph\":\"X\""), std::string::npos);
